@@ -3,12 +3,16 @@
 // MetaX triple per put while the thin directory writes a single name->volume
 // KV. The paper finds the rich service only slightly slower — the KV store
 // batches the three writes into one atomic commit.
+//
+// Exits non-zero unless every run is error-free, Meta/Dir stays >= 0.9 at
+// every client count, and rich throughput at 30 clients is at least 3x the
+// 5-client figure (the paper's curve rises with clients).
 #include "bench/bench_util.h"
 
 namespace cheetah::bench {
 namespace {
 
-double Measure(bool thin, int clients) {
+workload::RunnerResults Measure(bool thin, int clients) {
   core::CheetahOptions options;
   options.thin_directory_mode = thin;
   core::TestbedConfig config = PaperCheetahConfig(options);
@@ -26,9 +30,8 @@ double Measure(bool thin, int clients) {
                                      .fsync_base = 0,
                                      .channels = 64};
   auto bench = MakeCheetah(std::move(config));
-  auto r = RunPuts(bench.loop(), bench.clients, thin ? "thin-" : "rich-",
-                   ScaledOps(5000), KiB(8), clients * 2);
-  return r.throughput.OpsPerSec();
+  return RunPuts(bench.loop(), bench.clients, thin ? "thin-" : "rich-", ScaledOps(5000),
+                 KiB(8), clients * 2);
 }
 
 }  // namespace
@@ -40,13 +43,39 @@ int main() {
 
   PrintTitle("Fig. 13: rich meta service vs thin directory (req/sec, 1 meta machine)");
   PrintTableHeader({"clients", "MetaService", "DirectoryService", "Meta/Dir"});
+  bool ok = true;
+  auto require = [&ok](bool cond, const std::string& what) {
+    if (!cond) {
+      std::fprintf(stderr, "FAIL: %s\n", what.c_str());
+      ok = false;
+    }
+  };
+  double rich_at_5 = 0;
+  double rich_at_30 = 0;
   for (int clients : {5, 10, 15, 20, 25, 30}) {
-    const double rich = Measure(false, clients);
-    const double thin = Measure(true, clients);
-    std::printf("%-18d%-18.0f%-18.0f%-18.2f\n", clients, rich, thin,
-                thin > 0 ? rich / thin : 0.0);
+    const auto rich = Measure(false, clients);
+    const auto thin = Measure(true, clients);
+    const double rich_ops = rich.throughput.OpsPerSec();
+    const double thin_ops = thin.throughput.OpsPerSec();
+    const double ratio = thin_ops > 0 ? rich_ops / thin_ops : 0.0;
+    std::printf("%-18d%-18.0f%-18.0f%-18.2f\n", clients, rich_ops, thin_ops, ratio);
     std::fflush(stdout);
+    const std::string at = " at " + std::to_string(clients) + " clients";
+    require(rich.errors == 0 && thin.errors == 0, "failed puts" + at);
+    require(ratio >= 0.9, "Meta/Dir below 0.9" + at);
+    if (clients == 5) {
+      rich_at_5 = rich_ops;
+    }
+    if (clients == 30) {
+      rich_at_30 = rich_ops;
+    }
   }
+  require(rich_at_30 >= 3.0 * rich_at_5,
+          "rich throughput at 30 clients is under 3x the 5-client figure");
   DumpObsJson("fig13_richmeta");
+  if (!ok) {
+    return 1;
+  }
+  std::printf("fig13_richmeta: PASS (rich 30/5 clients = %.1fx)\n", rich_at_30 / rich_at_5);
   return 0;
 }

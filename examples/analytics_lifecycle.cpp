@@ -86,8 +86,8 @@ int main() {
               static_cast<unsigned long long>(checked));
   uint64_t revoked = 0, cleaned = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    revoked += bed.meta(i).stats().revoked_puts;
-    cleaned += bed.meta(i).stats().logs_cleaned;
+    revoked += bed.meta(i).counters().revoked_puts->value();
+    cleaned += bed.meta(i).counters().logs_cleaned->value();
   }
   std::printf("meta servers: %llu meta-logs cleaned, %llu puts revoked, 0 compactions ever\n",
               static_cast<unsigned long long>(cleaned),

@@ -74,10 +74,10 @@ int main() {
   bed.RunFor(Seconds(2));
   std::printf("  view=%llu; MetaX KVs pulled by the new server: %llu\n",
               static_cast<unsigned long long>(bed.proxy(0).view()),
-              static_cast<unsigned long long>(bed.meta(*m).stats().recovered_kvs));
+              static_cast<unsigned long long>(bed.meta(*m).counters().recovered_kvs->value()));
   uint64_t migrated = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    migrated += bed.meta(i).stats().migrated_objects;
+    migrated += bed.meta(i).counters().migrated_objects->value();
   }
   std::printf("  object data migrated: %llu (VGs pin data to volumes)\n",
               static_cast<unsigned long long>(migrated));

@@ -59,7 +59,7 @@ int main() {
               names.size());
   uint64_t recovered = 0;
   for (int i = 1; i < bed.num_meta(); ++i) {
-    recovered += bed.meta(i).stats().recovered_kvs;
+    recovered += bed.meta(i).counters().recovered_kvs->value();
   }
   std::printf("  MetaX KVs pulled by surviving servers: %llu\n",
               static_cast<unsigned long long>(recovered));

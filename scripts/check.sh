@@ -54,6 +54,10 @@ CHEETAH_EC_SMOKE=1 "$builddir/bench/ec_tradeoffs"
 # completed drain, and a clean full audit afterwards.
 CHEETAH_MIGRATE_SEEDS=1,2 ctest --preset "$preset" -L migrate -j "$(nproc)"
 CHEETAH_RESIZE_SMOKE=1 "$builddir/bench/resize_under_fire"
+# Fig. 13 boots a single meta server, whose PGs have no peer to pull from; it
+# asserts zero failed puts, Meta/Dir >= 0.9 and a >= 3x rise from 5 to 30
+# clients.
+CHEETAH_BENCH_SCALE=0.02 "$builddir/bench/fig13_richmeta"
 
 # Perf tier: simulator engine internals (timer wheel vs reference heap,
 # InlineFn, Arena, AnyMsg, callback lifecycle; ctest label `perf`), then the

@@ -96,7 +96,6 @@ struct RecoverVolumeRequest {
 // covers the rest, so cutover is safe.
 struct MigratePgReply {
   MigratePgReply() = default;
-  uint64_t kvs_pulled = 0;
   size_t wire_size() const { return 16; }
 };
 struct MigratePgRequest {

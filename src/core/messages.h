@@ -165,7 +165,7 @@ struct PgPullRequest {
   // Pagination: resume the OBMETA scan after this key ("" = from the start).
   // PG/PX logs ride with the final page.
   std::string start_after;
-  uint32_t limit = 4096;  // max OBMETA rows per page
+  uint32_t limit = 512;  // max OBMETA rows per page
   // When non-zero the source must have adopted at least this view before
   // serving the pull. Migration catchup sets it to the DoubleWrite view: a
   // source still on the older view is not forwarding writes yet, so a scan

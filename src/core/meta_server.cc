@@ -1,10 +1,12 @@
 #include "src/core/meta_server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/crc32c.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
+#include "src/core/pg_transfer.h"
 #include "src/core/scrubber.h"
 #include "src/qos/qos.h"
 #include "src/sim/actor.h"
@@ -42,22 +44,6 @@ MetaServer::MetaServer(rpc::Node& rpc, CheetahOptions options,
 }
 
 MetaServer::~MetaServer() = default;
-
-MetaServer::Stats MetaServer::stats() const {
-  const Scrubber::Stats scrub = scrubber_->stats();
-  return Stats{counters_.put_allocs->value(),
-               counters_.gets->value(),
-               counters_.deletes->value(),
-               counters_.replications->value(),
-               counters_.pg_pulls_served->value(),
-               counters_.recovered_kvs->value(),
-               counters_.completed_puts->value(),
-               counters_.revoked_puts->value(),
-               counters_.logs_cleaned->value(),
-               counters_.migrated_objects->value(),
-               scrub.objects,
-               scrub.repairs};
-}
 
 void MetaServer::Start() {
   rpc_.Serve<PutAllocRequest>(
@@ -193,7 +179,20 @@ alloc::BitmapAllocator* MetaServer::AllocatorFor(cluster::LvId lv_id) {
 
 Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> MetaServer::AllocateSpace(
     cluster::PgId pg, uint64_t bytes) {
-  std::vector<cluster::LvId> candidates = EffectiveVg(pg);
+  return AllocateOn(EffectiveVg(pg), bytes, /*ec_stripe=*/false);
+}
+
+Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> MetaServer::AllocateEcStripe(
+    cluster::PgId pg, uint64_t chunk_bytes) {
+  auto it = topo_.ec_vgs.find(pg);
+  if (it == topo_.ec_vgs.end() || it->second.empty()) {
+    return Status::ResourceExhausted("pg has no ec stripe volumes");
+  }
+  return AllocateOn(it->second, chunk_bytes, /*ec_stripe=*/true);
+}
+
+Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> MetaServer::AllocateOn(
+    std::vector<cluster::LvId> candidates, uint64_t bytes, bool ec_stripe) {
   // Prefer the volume with the most free space (simple load balancing).
   std::sort(candidates.begin(), candidates.end(),
             [this](cluster::LvId a, cluster::LvId b) {
@@ -205,7 +204,7 @@ Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> MetaServer::Allocat
             });
   for (cluster::LvId lv_id : candidates) {
     const cluster::LogicalVolume* lv = topo_.FindLv(lv_id);
-    if (lv == nullptr || !lv->writable) {
+    if (lv == nullptr || !lv->writable || (ec_stripe && !lv->ec_stripe)) {
       continue;
     }
     alloc::BitmapAllocator* allocator = AllocatorFor(lv_id);
@@ -217,39 +216,8 @@ Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> MetaServer::Allocat
       return std::make_pair(lv_id, std::move(*extents));
     }
   }
-  return Status::ResourceExhausted("no writable volume can fit the object");
-}
-
-Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> MetaServer::AllocateEcStripe(
-    cluster::PgId pg, uint64_t chunk_bytes) {
-  auto it = topo_.ec_vgs.find(pg);
-  if (it == topo_.ec_vgs.end() || it->second.empty()) {
-    return Status::ResourceExhausted("pg has no ec stripe volumes");
-  }
-  std::vector<cluster::LvId> candidates = it->second;
-  std::sort(candidates.begin(), candidates.end(),
-            [this](cluster::LvId a, cluster::LvId b) {
-              auto* aa = allocators_.find(a) != allocators_.end() ? &allocators_.at(a) : nullptr;
-              auto* bb = allocators_.find(b) != allocators_.end() ? &allocators_.at(b) : nullptr;
-              const uint64_t fa = aa ? aa->free_blocks() : ~0ull;
-              const uint64_t fb = bb ? bb->free_blocks() : ~0ull;
-              return fa > fb;
-            });
-  for (cluster::LvId lv_id : candidates) {
-    const cluster::LogicalVolume* lv = topo_.FindLv(lv_id);
-    if (lv == nullptr || !lv->writable || !lv->ec_stripe) {
-      continue;
-    }
-    alloc::BitmapAllocator* allocator = AllocatorFor(lv_id);
-    if (allocator == nullptr) {
-      continue;
-    }
-    auto extents = allocator->Allocate(chunk_bytes);
-    if (extents.ok()) {
-      return std::make_pair(lv_id, std::move(*extents));
-    }
-  }
-  return Status::ResourceExhausted("no ec stripe can fit the chunk");
+  return Status::ResourceExhausted(ec_stripe ? "no ec stripe can fit the chunk"
+                                             : "no writable volume can fit the object");
 }
 
 // ---- put ----
@@ -911,44 +879,23 @@ sim::Task<Result<cluster::MigratePgReply>> MetaServer::HandleMigratePg(
   if (topo_.view < req.view) {
     co_return Status::Unavailable("destination behind the migration view");
   }
-  // Pull the PG page by page from the source and merge (pure merge: deletes
-  // are tombstone records, keys are only ever added or overwritten). A page
-  // scanned before a concurrent write can land after its forwarded copy and
-  // briefly regress that key; the destination's adoption pull at cutover
-  // re-reads the source's final state, so the regression cannot outlive the
-  // migration. What catchup buys is having the bulk of the PG already
-  // persisted here, so cutover never depends on the drained node surviving
-  // it.
-  sim::NodeId source = req.source;
-  if (source == rpc_.id() || source == sim::kInvalidNode) {
+  // A page scanned before a concurrent write can land after its forwarded
+  // copy and briefly regress that key; the adoption pull at cutover re-reads
+  // the source's final state, so the regression cannot outlive the migration.
+  // What catchup buys is having the bulk of the PG already persisted here, so
+  // cutover never depends on the drained node surviving it.
+  if (req.source == rpc_.id() || req.source == sim::kInvalidNode) {
     co_return Status::InvalidArgument("bad migration source");
   }
-  cluster::MigratePgReply reply;
-  std::string cursor;
-  for (int page = 0; page < 100000; ++page) {
-    PgPullRequest pull;
-    pull.view = topo_.view;
-    pull.pg = req.pg;
-    pull.start_after = cursor;
-    pull.limit = 512;
-    pull.min_view = req.view;
-    auto r = co_await rpc_.Call(source, std::move(pull), options_.rpc_timeout);
-    if (!r.ok()) {
-      co_return r.status();
-    }
-    kv::WriteBatch batch;
-    for (auto& [k, v] : r->kvs) {
-      batch.Put(k, v);
-    }
-    reply.kvs_pulled += r->kvs.size();
-    counters_.recovered_kvs->Add(r->kvs.size());
-    CO_RETURN_IF_ERROR(co_await db_->Write(std::move(batch)));
-    if (r->next_start_after.empty()) {
-      co_return reply;
-    }
-    cursor = r->next_start_after;
-  }
-  co_return Status::Internal("migration pull did not terminate");
+  PgTransferSpec spec;
+  spec.request.pg = req.pg;
+  spec.request.view = topo_.view;
+  spec.request.min_view = req.view;
+  spec.sources = {req.source};
+  spec.rpc_timeout = options_.rpc_timeout;
+  CO_RETURN_IF_ERROR(
+      co_await PgTransfer(rpc_, std::move(spec), MergeInto(*db_, counters_.recovered_kvs)));
+  co_return cluster::MigratePgReply{};
 }
 
 // ---- topology adoption ----
@@ -972,114 +919,37 @@ sim::Task<> MetaServer::AdoptTopology(cluster::TopologyMap next) {
   }
   adopting_ = true;
   while (pending_topo_.has_value()) {
-    cluster::TopologyMap map = std::move(*pending_topo_);
+    const cluster::TopologyMap old = std::exchange(topo_, std::move(*pending_topo_));
     pending_topo_.reset();
-    cluster::TopologyMap old = topo_;
-    topo_ = std::move(map);
     LOG_INFO << "meta " << rpc_.id() << ": adopting view " << topo_.view;
 
-    // Which PGs is this node responsible for now?
-    std::set<cluster::PgId> responsible;
-    for (cluster::PgId pg = 0; pg < topo_.pg_count; ++pg) {
-      auto servers = topo_.MetaServersOf(pg);
-      if (std::find(servers.begin(), servers.end(), rpc_.id()) != servers.end()) {
-        responsible.insert(pg);
-      }
-    }
-    std::set<cluster::PgId> previously_ready = std::move(ready_pgs_);
-    ready_pgs_.clear();
-
+    const std::set<cluster::PgId> previously_ready = std::exchange(ready_pgs_, {});
     // A node that skipped intermediate views (partitioned away while the
     // cluster moved on without it) cannot trust its local PG state: writes
-    // were acknowledged by views it never saw. Re-pull everything it is
-    // responsible for, preferring the current view's owners as sources —
-    // its own stale map may name owners that no longer hold the PG.
+    // were acknowledged by views it never saw, so it re-pulls every PG.
     const bool view_gap = old.view > 0 && topo_.view > old.view + 1;
 
-    for (cluster::PgId pg : responsible) {
-      const bool had_it = !view_gap && previously_ready.contains(pg);
-      if (!had_it) {
-        // Pull the PG from a surviving replica of the previous view.
-        std::vector<sim::NodeId> sources;
-        if (old.view > 0) {
-          sources = old.MetaServersOf(pg);
-        } else {
-          sources = topo_.MetaServersOf(pg);
-        }
-        if (view_gap) {
-          std::vector<sim::NodeId> current = topo_.MetaServersOf(pg);
-          for (sim::NodeId s : sources) {
-            if (std::find(current.begin(), current.end(), s) == current.end()) {
-              current.push_back(s);
-            }
-          }
-          sources = std::move(current);
-        }
-        // Try sources that remain members of the new view first: a node the
-        // manager just evicted is usually evicted because it is unreachable,
-        // and every page call against it stalls adoption (and every put to
-        // this PG) for a full rpc_timeout before we fall to the next source.
-        std::stable_partition(sources.begin(), sources.end(), [&](sim::NodeId s) {
-          return topo_.meta_crush.HasItem(s);
-        });
-        // Retry the source list for a few rounds: after a cluster-wide
-        // restart every peer races through DB recovery, and a single
-        // "initializing" round-trip must not make this node adopt the PG
-        // empty and then serve NotFound for data its peers hold. Bail if a
-        // newer view lands mid-pull — the outer loop re-adopts from scratch.
-        bool pulled = false;
-        for (int round = 0; round < 4 && !pulled && !pending_topo_.has_value();
-             ++round) {
-          if (round > 0) {
-            co_await sim::SleepFor(Millis(100));
-          }
-          for (sim::NodeId source : sources) {
-            if (source == rpc_.id()) {
-              continue;
-            }
-            // Pull the PG page by page; each page is persisted as it lands so
-            // the recovery curve (Fig. 15) reflects actual transfer progress.
-            std::string cursor;
-            bool complete = false;
-            for (int page = 0; page < 100000; ++page) {
-              PgPullRequest pull;
-              pull.view = topo_.view;
-              pull.pg = pg;
-              pull.start_after = cursor;
-              pull.limit = 512;
-              auto r = co_await rpc_.Call(source, std::move(pull), options_.rpc_timeout);
-              if (!r.ok()) {
-                break;
-              }
-              kv::WriteBatch batch;
-              for (auto& [k, v] : r->kvs) {
-                batch.Put(k, v);
-              }
-              counters_.recovered_kvs->Add(r->kvs.size());
-              (void)co_await db_->Write(std::move(batch));
-              if (r->next_start_after.empty()) {
-                complete = true;
-                break;
-              }
-              cursor = r->next_start_after;
-            }
-            if (complete) {
-              // The pull is a pure merge: records only ever get added or
-              // overwritten, never inferred-deleted. Deletes arrive as
-              // tombstone records like any other write, so a replica's local
-              // (possibly the only surviving) copy of a PG is never thrown
-              // away because a source that adopted the PG empty lacks it.
-              pulled = true;
-              break;
-            }
-          }
-        }
+    for (cluster::PgId pg : topo_.PgsOf(rpc_.id())) {
+      if (view_gap || !previously_ready.contains(pg)) {
+        // Several rounds: after a cluster-wide restart every peer races
+        // through DB recovery, and one "initializing" reply must not make
+        // this node adopt the PG empty and then serve NotFound for data its
+        // peers hold. A newer view aborts the pull.
+        PgTransferSpec spec;
+        spec.request.pg = pg;
+        spec.request.view = topo_.view;
+        spec.sources = PullSources(old, topo_, pg, view_gap, rpc_.id());
+        spec.rpc_timeout = options_.rpc_timeout;
+        spec.rounds = 4;
+        spec.backoff = Millis(100);
+        spec.abort = [this] { return pending_topo_.has_value(); };
+        const Status pulled =
+            co_await PgTransfer(rpc_, std::move(spec), MergeInto(*db_, counters_.recovered_kvs));
         if (pending_topo_.has_value()) {
           break;  // restart adoption under the newer map
         }
         LOG_DEBUG << "meta " << rpc_.id() << ": view " << topo_.view << " pg " << pg
-                  << (pulled ? " pulled" : " adopted without a complete pull")
-                  << " (sources " << sources.size() << ")";
+                  << (pulled.ok() ? " pulled" : " adopted without a complete pull");
       }
       if (IsPrimary(pg)) {
         co_await RebuildPgState(pg);
@@ -1089,31 +959,19 @@ sim::Task<> MetaServer::AdoptTopology(cluster::TopologyMap next) {
 
     // Drop allocators for LVs we no longer manage.
     std::set<cluster::LvId> managed;
-    for (cluster::PgId pg : responsible) {
-      if (IsPrimary(pg)) {
-        for (cluster::LvId lv : EffectiveVg(pg)) {
-          managed.insert(lv);
-        }
-        if (auto it = topo_.ec_vgs.find(pg); it != topo_.ec_vgs.end()) {
-          for (cluster::LvId lv : it->second) {
-            managed.insert(lv);
-          }
-        }
+    for (cluster::PgId pg : topo_.PrimaryPgsOf(rpc_.id())) {
+      for (cluster::LvId lv : EffectiveVg(pg)) {
+        managed.insert(lv);
+      }
+      if (auto it = topo_.ec_vgs.find(pg); it != topo_.ec_vgs.end()) {
+        managed.insert(it->second.begin(), it->second.end());
       }
     }
-    for (auto it = allocators_.begin(); it != allocators_.end();) {
-      if (!managed.contains(it->first)) {
-        it = allocators_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(allocators_, [&](const auto& entry) { return !managed.contains(entry.first); });
 
     if (options_.no_volume_groups) {
-      for (cluster::PgId pg : responsible) {
-        if (IsPrimary(pg)) {
-          rpc_.machine().actor().Spawn(MigratePgData(pg));
-        }
+      for (cluster::PgId pg : topo_.PrimaryPgsOf(rpc_.id())) {
+        rpc_.machine().actor().Spawn(MigratePgData(pg));
       }
     }
   }

@@ -52,22 +52,21 @@ class MetaServer {
   // Registers handlers and spawns init/heartbeat/cleaner loops.
   void Start();
 
-  // Value snapshot of the registry-backed counters ("meta@<node>#<i>.*").
-  struct Stats {
-    uint64_t put_allocs = 0;
-    uint64_t gets = 0;
-    uint64_t deletes = 0;
-    uint64_t replications = 0;
-    uint64_t pg_pulls_served = 0;
-    uint64_t recovered_kvs = 0;     // KVs pulled into this server on adoption
-    uint64_t completed_puts = 0;    // §5.3: verified-complete without commit
-    uint64_t revoked_puts = 0;
-    uint64_t logs_cleaned = 0;
-    uint64_t migrated_objects = 0;  // Cheetah-NoVG only
-    uint64_t scrubbed_objects = 0;  // mirrored from the Scrubber
-    uint64_t scrub_repairs = 0;
+  // Registry-backed counters ("meta@<node>#<i>.*"); the scrub counts are in
+  // scrubber().stats().
+  struct Counters {
+    obs::Counter* put_allocs;
+    obs::Counter* gets;
+    obs::Counter* deletes;
+    obs::Counter* replications;
+    obs::Counter* pg_pulls_served;
+    obs::Counter* recovered_kvs;     // KVs pulled into this server by PgTransfer
+    obs::Counter* completed_puts;    // §5.3: verified-complete without commit
+    obs::Counter* revoked_puts;
+    obs::Counter* logs_cleaned;
+    obs::Counter* migrated_objects;  // Cheetah-NoVG only
   };
-  Stats stats() const;
+  const Counters& counters() const { return counters_; }
 
   const cluster::TopologyMap& topology() const { return topo_; }
   uint64_t view() const { return topo_.view; }
@@ -134,6 +133,10 @@ class MetaServer {
   // one allocation reserves the same extent range on all k+m stripe PVs.
   Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> AllocateEcStripe(
       cluster::PgId pg, uint64_t chunk_bytes);
+  // Allocates on the candidate with the most free space; `ec_stripe` admits
+  // stripe LVs only.
+  Result<std::pair<cluster::LvId, std::vector<alloc::Extent>>> AllocateOn(
+      std::vector<cluster::LvId> candidates, uint64_t bytes, bool ec_stripe);
 
   // Persists the batch locally and on all backups in parallel; returns OK
   // only if every replica persisted.
@@ -189,18 +192,7 @@ class MetaServer {
   std::unique_ptr<tier::TierEngine> tier_;
 
   obs::Scope scope_;
-  struct {
-    obs::Counter* put_allocs;
-    obs::Counter* gets;
-    obs::Counter* deletes;
-    obs::Counter* replications;
-    obs::Counter* pg_pulls_served;
-    obs::Counter* recovered_kvs;
-    obs::Counter* completed_puts;
-    obs::Counter* revoked_puts;
-    obs::Counter* logs_cleaned;
-    obs::Counter* migrated_objects;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::core

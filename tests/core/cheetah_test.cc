@@ -193,7 +193,7 @@ TEST_F(CheetahTest, MetaxKvsCleanedAfterCommit) {
   uint64_t cleaned = 0;
   for (int i = 0; i < bed().num_meta(); ++i) {
     pending += bed().meta(i).pending_puts();
-    cleaned += bed().meta(i).stats().logs_cleaned;
+    cleaned += bed().meta(i).counters().logs_cleaned->value();
   }
   EXPECT_EQ(pending, 0u);
   EXPECT_GE(cleaned, 10u);
@@ -224,7 +224,7 @@ TEST_F(CheetahTest, MetaServerCrashIsRecovered) {
   // The surviving servers pulled the dead server's PGs.
   uint64_t recovered = 0;
   for (int i = 1; i < bed().num_meta(); ++i) {
-    recovered += bed().meta(i).stats().recovered_kvs;
+    recovered += bed().meta(i).counters().recovered_kvs->value();
   }
   EXPECT_GT(recovered, 0u);
 }
@@ -384,7 +384,7 @@ TEST_F(CheetahTest, MetaExpansionMovesMetadataNotData) {
   ASSERT_TRUE(added.ok()) << added.status().ToString();
   bed().RunFor(Seconds(2));
   // Metadata moved to the new server (CRUSH remap)...
-  EXPECT_GT(bed().meta(*added).stats().recovered_kvs, 0u);
+  EXPECT_GT(bed().meta(*added).counters().recovered_kvs->value(), 0u);
   // ...but not a single byte of object data.
   uint64_t writes_after = 0;
   for (int i = 0; i < bed().num_data(); ++i) {
@@ -393,7 +393,7 @@ TEST_F(CheetahTest, MetaExpansionMovesMetadataNotData) {
   EXPECT_EQ(writes_after, writes_before);
   uint64_t migrated = 0;
   for (int i = 0; i < bed().num_meta(); ++i) {
-    migrated += bed().meta(i).stats().migrated_objects;
+    migrated += bed().meta(i).counters().migrated_objects->value();
   }
   EXPECT_EQ(migrated, 0u);
   // Everything still readable.
@@ -414,7 +414,7 @@ TEST_F(CheetahTest, NoVgVariantMigratesOnMetaExpansion) {
   bed().RunFor(Seconds(5));  // migration traffic
   uint64_t migrated = 0;
   for (int i = 0; i < bed().num_meta(); ++i) {
-    migrated += bed().meta(i).stats().migrated_objects;
+    migrated += bed().meta(i).counters().migrated_objects->value();
   }
   EXPECT_GT(migrated, 0u);
   for (int i = 0; i < 30; ++i) {

@@ -4,7 +4,9 @@
 //    post-view-change primary;
 //  * crashing the meta server that is itself mid-way through pulling PGs
 //    (crash during view change) must still converge to a view where every
-//    acknowledged object is readable.
+//    acknowledged object is readable;
+//  * a lone meta server has no peer to pull its PGs from, so boot must ready
+//    every PG at once instead of retrying a pull that has no source.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -136,6 +138,25 @@ TEST(Recovery, CrashDuringViewChangeConvergesWithoutLoss) {
     ASSERT_TRUE(got.ok()) << name << " after restarts: " << got.status().ToString();
     EXPECT_EQ((*got)[0], fill) << name;
   }
+}
+
+TEST(Recovery, SingleMetaBootReadiesEveryPgWithinOneHeartbeat) {
+  TestbedConfig config = SmallConfig();
+  config.meta_machines = 1;
+  config.replication = 1;
+  config.pg_count = 64;
+  config.pvs_per_disk = 8;  // 64 PVs -> 64 LVs at replication 1
+  // Boot() returns one heartbeat interval after the servers start.
+  config.boot_warmup = config.options.heartbeat_interval;
+  Testbed bed(std::move(config));
+  ASSERT_TRUE(bed.Boot().ok());
+
+  for (cluster::PgId pg = 0; pg < 64; ++pg) {
+    EXPECT_TRUE(bed.meta(0).IsReady(pg)) << "pg " << pg;
+  }
+  const uint64_t retries_before = bed.proxy(0).stats().retries;
+  ASSERT_TRUE(bed.PutObject(0, "first-put", std::string(4096, 'f')).ok());
+  EXPECT_EQ(bed.proxy(0).stats().retries, retries_before) << "put answered pg not ready";
 }
 
 }  // namespace

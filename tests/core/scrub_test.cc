@@ -51,8 +51,8 @@ TEST_F(ScrubTest, CleanClusterScrubsWithoutRepairs) {
   ScrubAll();
   uint64_t scrubbed = 0, repairs = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    scrubbed += bed_->meta(i).stats().scrubbed_objects;
-    repairs += bed_->meta(i).stats().scrub_repairs;
+    scrubbed += bed_->meta(i).scrubber().stats().objects;
+    repairs += bed_->meta(i).scrubber().stats().repairs;
   }
   EXPECT_EQ(scrubbed, 20u);
   EXPECT_EQ(repairs, 0u);
@@ -88,7 +88,7 @@ TEST_F(ScrubTest, ScrubRepairsLostReplica) {
   ScrubAll();
   uint64_t repairs = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    repairs += bed_->meta(i).stats().scrub_repairs;
+    repairs += bed_->meta(i).scrubber().stats().repairs;
   }
   EXPECT_GE(repairs, 1u);
 
@@ -96,7 +96,7 @@ TEST_F(ScrubTest, ScrubRepairsLostReplica) {
   ScrubAll();
   uint64_t repairs_after = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    repairs_after += bed_->meta(i).stats().scrub_repairs;
+    repairs_after += bed_->meta(i).scrubber().stats().repairs;
   }
   EXPECT_EQ(repairs_after, repairs);
   for (int trial = 0; trial < 6; ++trial) {  // random replica choice
@@ -313,7 +313,7 @@ TEST_F(ScrubTest, PeriodicScrubRunsWhenEnabled) {
   bed.RunFor(Seconds(3));
   uint64_t scrubbed = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    scrubbed += bed.meta(i).stats().scrubbed_objects;
+    scrubbed += bed.meta(i).scrubber().stats().objects;
   }
   EXPECT_GT(scrubbed, 0u);
 }
