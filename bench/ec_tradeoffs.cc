@@ -20,7 +20,6 @@
 // dimension so scripts/check.sh can run it as the `ec` tier's bench smoke.
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,6 @@
 namespace cheetah::bench {
 namespace {
 
-using core::MetaServer;
 using core::Testbed;
 
 bool Smoke() { return std::getenv("CHEETAH_EC_SMOKE") != nullptr; }
@@ -77,23 +75,10 @@ core::TestbedConfig TierBenchConfig(uint32_t k, uint32_t m, uint64_t inline_thre
   return config;
 }
 
-void TierAllNow(Testbed& bed) {
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->TierNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
-  while (*pending > 0 && bed.loop().RunOne()) {
-  }
-}
-
 uint64_t TotalDemotions(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    total += bed.meta(i).tier_engine().stats().demotions;
+    total += bed.meta(i).tier_engine().counters().demotions->value();
   }
   return total;
 }
@@ -101,7 +86,7 @@ uint64_t TotalDemotions(Testbed& bed) {
 uint64_t TotalInlinePuts(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_proxies(); ++i) {
-    total += bed.proxy(i).stats().inline_puts;
+    total += bed.proxy(i).counters().inline_puts->value();
   }
   return total;
 }
@@ -157,7 +142,7 @@ Row RunScheme(const std::string& scheme, uint32_t k, uint32_t m,
     // Write-then-promote: age every object past demote_after, then run one
     // synchronous tiering pass so the gets below hit the EC read path.
     bench.bed->RunFor(Seconds(1));
-    TierAllNow(*bench.bed);
+    bench.bed->TierAll();
     bench.bed->RunFor(Millis(200));  // bitmap persists, discards land
   }
   row.demotions = TotalDemotions(*bench.bed);

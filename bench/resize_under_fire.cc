@@ -139,7 +139,7 @@ int main() {
   }
   uint64_t fast_redirects = 0;
   for (int i = 0; i < bed.num_proxies(); ++i) {
-    fast_redirects += bed.proxy(i).stats().fast_redirects;
+    fast_redirects += bed.proxy(i).counters().fast_redirects->value();
   }
 
   // Full audit: every preloaded object plus every acked put, read back once.

@@ -16,7 +16,6 @@
 // tier's bench smoke.
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 namespace cheetah::bench {
 namespace {
 
-using core::MetaServer;
 using core::Testbed;
 
 bool Smoke() { return std::getenv("CHEETAH_SCRUB_SMOKE") != nullptr; }
@@ -52,23 +50,10 @@ struct SideResult {
   uint64_t residual_corrupt = 0;  // audit-pass corrupt_found delta
 };
 
-void ScrubAllOnce(Testbed& bed) {
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->ScrubNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
-  while (*pending > 0 && bed.loop().RunOne()) {
-  }
-}
-
 uint64_t TotalCorruptFound(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    total += bed.meta(i).scrubber().stats().corrupt_found;
+    total += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
   return total;
 }
@@ -105,16 +90,16 @@ SideResult RunSide(bool scrub_on, const ScrubScale& scale) {
       }
     }
     bench.bed->RunFor(Seconds(2));
-    ScrubAllOnce(*bench.bed);
+    bench.bed->ScrubAll();
     const uint64_t corrupt_before_audit = TotalCorruptFound(*bench.bed);
-    ScrubAllOnce(*bench.bed);
+    bench.bed->ScrubAll();
     side.residual_corrupt = TotalCorruptFound(*bench.bed) - corrupt_before_audit;
   }
 
   for (int i = 0; i < bench.bed->num_meta(); ++i) {
-    const core::Scrubber::Stats s = bench.bed->meta(i).scrubber().stats();
-    side.scrubbed_objects += s.objects;
-    side.scrub_repairs += s.repairs;
+    const core::Scrubber::Counters& c = bench.bed->meta(i).scrubber().counters();
+    side.scrubbed_objects += c.objects->value();
+    side.scrub_repairs += c.repairs->value();
   }
   return side;
 }

@@ -15,7 +15,7 @@ namespace {
 uint64_t TotalDataWrites(core::Testbed& bed) {
   uint64_t writes = 0;
   for (int i = 0; i < bed.num_data(); ++i) {
-    writes += bed.data(i).stats().writes;
+    writes += bed.data(i).counters().writes->value();
   }
   return writes;
 }

@@ -58,11 +58,11 @@ int main() {
   std::printf("re-put + get: %s / \"%s\"\n", re.ToString().c_str(),
               again.ok() ? again->c_str() : "?");
 
-  const auto& stats = bed.proxy(0).stats();
+  const auto& counters = bed.proxy(0).counters();
   std::printf("\nproxy stats: %llu puts, %llu gets, %llu deletes, %llu retries\n",
-              static_cast<unsigned long long>(stats.puts),
-              static_cast<unsigned long long>(stats.gets),
-              static_cast<unsigned long long>(stats.deletes),
-              static_cast<unsigned long long>(stats.retries));
+              static_cast<unsigned long long>(counters.puts->value()),
+              static_cast<unsigned long long>(counters.gets->value()),
+              static_cast<unsigned long long>(counters.deletes->value()),
+              static_cast<unsigned long long>(counters.retries->value()));
   return 0;
 }

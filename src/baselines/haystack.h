@@ -193,20 +193,16 @@ class HaystackStore {
   HaystackStore(rpc::Node& rpc, const HaystackConfig& config);
   void Start();
 
-  // Value snapshot of the registry-backed counters ("haystack@<node>#<i>.*").
-  struct Stats {
-    uint64_t writes = 0;
-    uint64_t reads = 0;
-    uint64_t flags = 0;
-    uint64_t checkpoints = 0;
-    uint64_t compactions = 0;
-    uint64_t compacted_bytes = 0;
+  // Registry-backed counters ("haystack@<node>#<i>.*").
+  struct Counters {
+    obs::Counter* writes;
+    obs::Counter* reads;
+    obs::Counter* flags;
+    obs::Counter* checkpoints;
+    obs::Counter* compactions;
+    obs::Counter* compacted_bytes;
   };
-  Stats stats() const {
-    return Stats{counters_.writes->value(),      counters_.reads->value(),
-                 counters_.flags->value(),       counters_.checkpoints->value(),
-                 counters_.compactions->value(), counters_.compacted_bytes->value()};
-  }
+  const Counters& counters() const { return counters_; }
 
   // Bytes of live vs total needle data (storage efficiency, Fig. 18).
   uint64_t live_bytes() const { return live_bytes_; }
@@ -246,14 +242,7 @@ class HaystackStore {
   uint64_t live_bytes_ = 0;
   uint64_t total_bytes_ = 0;
   obs::Scope scope_;
-  struct {
-    obs::Counter* writes;
-    obs::Counter* reads;
-    obs::Counter* flags;
-    obs::Counter* checkpoints;
-    obs::Counter* compactions;
-    obs::Counter* compacted_bytes;
-  } counters_;
+  Counters counters_;
 };
 
 // ---- client ----

@@ -30,6 +30,24 @@ const char* OutcomeName(Outcome o) {
 
 }  // namespace
 
+Outcome Classify(OpType type, const Status& status) {
+  if (status.ok()) {
+    return Outcome::kOk;
+  }
+  switch (type) {
+    case OpType::kPut:
+      return status.code() == ErrorCode::kAlreadyExists ||
+                     status.code() == ErrorCode::kResourceExhausted
+                 ? Outcome::kNoEffect
+                 : Outcome::kAmbiguous;
+    case OpType::kGet:
+      return status.IsNotFound() ? Outcome::kNotFound : Outcome::kNoEffect;
+    case OpType::kDelete:
+      return status.IsNotFound() ? Outcome::kNotFound : Outcome::kAmbiguous;
+  }
+  return Outcome::kAmbiguous;
+}
+
 std::string Op::ToString() const {
   std::ostringstream os;
   os << "#" << id << " c" << client << " " << TypeName(type) << "(" << key;

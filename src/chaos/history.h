@@ -23,6 +23,8 @@
 //    delete raced its own earlier ambiguous attempt (we model it as "key was
 //    absent at its linearization point", which covers both).
 //  * put -> AlreadyExists / ResourceExhausted are definite no-effect ops.
+//  * get -> any error other than NotFound observed nothing: a no-effect op.
+// Classify() below turns a client status into an Outcome by these rules.
 #ifndef SRC_CHAOS_HISTORY_H_
 #define SRC_CHAOS_HISTORY_H_
 
@@ -31,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/units.h"
 
 namespace cheetah::chaos {
@@ -43,6 +46,13 @@ enum class Outcome {
   kNoEffect,   // definite failure with no state change (AlreadyExists, ...)
   kAmbiguous,  // timeout / unavailable: may or may not have taken effect
 };
+
+// The outcome a client op of `type` records for its returned `status`:
+//   put:    Ok -> kOk; AlreadyExists, ResourceExhausted -> kNoEffect;
+//           any other error -> kAmbiguous
+//   get:    Ok -> kOk; NotFound -> kNotFound; any other error -> kNoEffect
+//   delete: Ok -> kOk; NotFound -> kNotFound; any other error -> kAmbiguous
+Outcome Classify(OpType type, const Status& status);
 
 struct Op {
   uint64_t id = 0;          // unique per history, assigned by Invoke

@@ -46,32 +46,22 @@ class ClientProxy {
   sim::Task<Result<std::string>> Get(std::string name);
   sim::Task<Status> Delete(std::string name);
 
-  // Value snapshot of the registry-backed counters ("proxy@<node>#<i>.*").
-  struct Stats {
-    uint64_t puts = 0;
-    uint64_t gets = 0;
-    uint64_t deletes = 0;
-    uint64_t retries = 0;
-    uint64_t failures = 0;
-    uint64_t cache_hits = 0;
-    uint64_t corrupt_replica_reads = 0;  // replicas rejected by verification
-    uint64_t read_repairs = 0;           // damaged replicas rewritten
-    uint64_t inline_puts = 0;            // objects stored in the MetaX record
-    uint64_t ec_degraded_reads = 0;      // EC gets that needed reconstruction
-    uint64_t ec_chunk_repairs = 0;       // stripe chunks rewritten after a get
-    uint64_t fast_redirects = 0;         // stale-view NACKs chased sans backoff
+  // Registry-backed counters ("proxy@<node>#<i>.*").
+  struct Counters {
+    obs::Counter* puts;
+    obs::Counter* gets;
+    obs::Counter* deletes;
+    obs::Counter* retries;
+    obs::Counter* failures;
+    obs::Counter* cache_hits;
+    obs::Counter* corrupt_replica_reads;  // replicas rejected by verification
+    obs::Counter* read_repairs;           // damaged replicas rewritten
+    obs::Counter* inline_puts;            // objects stored in the MetaX record
+    obs::Counter* ec_degraded_reads;      // EC gets that needed reconstruction
+    obs::Counter* ec_chunk_repairs;       // stripe chunks rewritten after a get
+    obs::Counter* fast_redirects;         // stale-view NACKs chased sans backoff
   };
-  Stats stats() const {
-    return Stats{counters_.puts->value(),    counters_.gets->value(),
-                 counters_.deletes->value(), counters_.retries->value(),
-                 counters_.failures->value(), counters_.cache_hits->value(),
-                 counters_.corrupt_replica_reads->value(),
-                 counters_.read_repairs->value(),
-                 counters_.inline_puts->value(),
-                 counters_.ec_degraded_reads->value(),
-                 counters_.ec_chunk_repairs->value(),
-                 counters_.fast_redirects->value()};
-  }
+  const Counters& counters() const { return counters_; }
 
   uint64_t view() const { return topo_.view; }
   const cluster::TopologyMap& topology() const { return topo_; }
@@ -182,20 +172,7 @@ class ClientProxy {
   std::unordered_map<std::string, ObMeta> meta_cache_;
 
   obs::Scope scope_;
-  struct {
-    obs::Counter* puts;
-    obs::Counter* gets;
-    obs::Counter* deletes;
-    obs::Counter* retries;
-    obs::Counter* failures;
-    obs::Counter* cache_hits;
-    obs::Counter* corrupt_replica_reads;
-    obs::Counter* read_repairs;
-    obs::Counter* inline_puts;
-    obs::Counter* ec_degraded_reads;
-    obs::Counter* ec_chunk_repairs;
-    obs::Counter* fast_redirects;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::core

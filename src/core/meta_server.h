@@ -53,7 +53,7 @@ class MetaServer {
   void Start();
 
   // Registry-backed counters ("meta@<node>#<i>.*"); the scrub counts are in
-  // scrubber().stats().
+  // scrubber().counters().
   struct Counters {
     obs::Counter* put_allocs;
     obs::Counter* gets;

@@ -37,23 +37,16 @@ class Scrubber {
   // One full audit of every ready PG this server is primary for.
   sim::Task<> ScrubAll();
 
-  // Value snapshot of the registry-backed counters ("scrub@<node>.*").
-  struct Stats {
-    uint64_t objects = 0;          // objects audited (all replicas probed)
-    uint64_t corrupt_found = 0;    // replicas that failed their probe
-    uint64_t repairs = 0;          // divergent replicas rewritten
-    uint64_t repair_failures = 0;  // rewrites that errored (retried next pass)
-    uint64_t probe_errors = 0;     // indeterminate probes (RPC-level failure)
-    uint64_t bytes_repaired = 0;
+  // Registry-backed counters ("scrub@<node>.*").
+  struct Counters {
+    obs::Counter* objects;          // objects audited (all replicas probed)
+    obs::Counter* corrupt_found;    // replicas that failed their probe
+    obs::Counter* repairs;          // divergent replicas rewritten
+    obs::Counter* repair_failures;  // rewrites that errored (retried next pass)
+    obs::Counter* probe_errors;     // indeterminate probes (RPC-level failure)
+    obs::Counter* bytes_repaired;
   };
-  Stats stats() const {
-    return Stats{counters_.objects->value(),
-                 counters_.corrupt_found->value(),
-                 counters_.repairs->value(),
-                 counters_.repair_failures->value(),
-                 counters_.probe_errors->value(),
-                 counters_.bytes_repaired->value()};
-  }
+  const Counters& counters() const { return counters_; }
 
  private:
   sim::Task<> ScrubPg(cluster::PgId pg);
@@ -66,14 +59,7 @@ class Scrubber {
   const CheetahOptions& options_;
 
   obs::Scope scope_;
-  struct {
-    obs::Counter* objects;
-    obs::Counter* corrupt_found;
-    obs::Counter* repairs;
-    obs::Counter* repair_failures;
-    obs::Counter* probe_errors;
-    obs::Counter* bytes_repaired;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::core

@@ -153,6 +153,15 @@ class Testbed {
   // retired from the topology or `budget` virtual time elapses.
   Status DrainMetaMachine(int i, Nanos budget = Seconds(60));
 
+  // ---- maintenance passes ----
+  // One scrub / tiering pass on every meta server at once, driving the loop
+  // until all of them return. BeginTierAll only spawns the passes, for tests
+  // that race client ops against an in-flight demotion; it returns the count
+  // of passes still running.
+  void ScrubAll();
+  void TierAll();
+  std::shared_ptr<const int> BeginTierAll();
+
   const TestbedConfig& config() const { return config_; }
   std::vector<sim::NodeId> manager_nodes() const { return manager_nodes_; }
 
@@ -184,6 +193,10 @@ class Testbed {
 
   MetaBundle MakeMetaBundle(sim::NodeId id, int seed);
   DataBundle MakeDataBundle(sim::NodeId id, uint32_t disks);
+
+  // Spawns `pass` on every meta server's actor; returns the count of passes
+  // still running.
+  std::shared_ptr<int> SpawnOnEveryMeta(sim::Task<> (MetaServer::*pass)());
 
   // Runs a leader-only manager action, retrying across leader changes.
   Status RunManagerAction(std::function<sim::Task<Status>(cluster::Manager&)> action);

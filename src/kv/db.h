@@ -38,15 +38,20 @@ namespace cheetah::kv {
 
 class DB {
  public:
-  // Value snapshot of this DB's registry-backed counters (the counters
-  // themselves live in obs::Registry under "kv.<name>#<instance>.*").
-  struct Stats {
-    uint64_t writes = 0;
-    uint64_t flushes = 0;
-    uint64_t compactions = 0;
-    uint64_t gets = 0;
-    uint64_t wal_bytes = 0;
+  // This DB's registry-backed counters (obs::Registry names them
+  // "kv.<name>#<instance>.*").
+  struct Counters {
+    obs::Counter* writes;
+    obs::Counter* flushes;
+    obs::Counter* compactions;
+    obs::Counter* gets;
+    obs::Counter* wal_bytes;
+    obs::Counter* wal_torn_tail;
+    obs::Counter* wal_corrupt_records;
+    obs::Counter* wal_salvaged_records;
+    obs::Counter* sst_blocks_bad;
   };
+  const Counters& counters() const { return counters_; }
 
   // What the last Open() found on disk. `clean` means every WAL byte
   // replayed and every SSTable block verified: any other combination is
@@ -88,11 +93,6 @@ class DB {
   // Number of live entries (exact; walks the merged view without disk charge).
   uint64_t CountLiveEntries() const;
 
-  Stats stats() const {
-    return Stats{counters_.writes->value(), counters_.flushes->value(),
-                 counters_.compactions->value(), counters_.gets->value(),
-                 counters_.wal_bytes->value()};
-  }
   const Options& options() const { return options_; }
 
   // Test hook: waits until no flush/compaction is running.
@@ -165,17 +165,7 @@ class DB {
   RecoveryStats recovery_;
 
   obs::Scope scope_;
-  struct {
-    obs::Counter* writes;
-    obs::Counter* flushes;
-    obs::Counter* compactions;
-    obs::Counter* gets;
-    obs::Counter* wal_bytes;
-    obs::Counter* wal_torn_tail;
-    obs::Counter* wal_corrupt_records;
-    obs::Counter* wal_salvaged_records;
-    obs::Counter* sst_blocks_bad;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::kv

@@ -50,21 +50,15 @@ class TierEngine {
   // One full demotion scan of every ready PG this server is primary for.
   sim::Task<> TierAll();
 
-  // Value snapshot of the registry-backed counters ("tier@<node>.*").
-  struct Stats {
-    uint64_t scanned = 0;          // settled replica objects considered
-    uint64_t demotions = 0;        // objects swapped to the EC class
-    uint64_t demote_aborts = 0;    // swaps abandoned (object changed underneath)
-    uint64_t demote_failures = 0;  // stripe I/O or persist errors (retried later)
-    uint64_t bytes_demoted = 0;    // object bytes now living as EC stripes
+  // Registry-backed counters ("tier@<node>.*").
+  struct Counters {
+    obs::Counter* scanned;          // settled replica objects considered
+    obs::Counter* demotions;        // objects swapped to the EC class
+    obs::Counter* demote_aborts;    // swaps abandoned (object changed underneath)
+    obs::Counter* demote_failures;  // stripe I/O or persist errors (retried later)
+    obs::Counter* bytes_demoted;    // object bytes now living as EC stripes
   };
-  Stats stats() const {
-    return Stats{counters_.scanned->value(),
-                 counters_.demotions->value(),
-                 counters_.demote_aborts->value(),
-                 counters_.demote_failures->value(),
-                 counters_.bytes_demoted->value()};
-  }
+  const Counters& counters() const { return counters_; }
 
  private:
   sim::Task<> TierPg(cluster::PgId pg);
@@ -79,13 +73,7 @@ class TierEngine {
   const core::CheetahOptions& options_;
 
   obs::Scope scope_;
-  struct {
-    obs::Counter* scanned;
-    obs::Counter* demotions;
-    obs::Counter* demote_aborts;
-    obs::Counter* demote_failures;
-    obs::Counter* bytes_demoted;
-  } counters_;
+  Counters counters_;
 };
 
 }  // namespace cheetah::tier

@@ -9,18 +9,12 @@
 // the schedule composition, so one integer pins the entire run.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/chaos/history.h"
 #include "src/chaos/nemesis.h"
-#include "src/core/testbed.h"
-#include "src/sim/event_loop.h"
-#include "tests/test_util.h"
+#include "src/chaos/sweep.h"
 
 namespace cheetah::chaos {
 namespace {
@@ -45,23 +39,6 @@ constexpr const char* kScheduleNames[] = {
     "GrayDataDisk",         "NetChaos",                "Combined",
 };
 
-std::vector<uint64_t> ChaosSeeds() {
-  std::vector<uint64_t> seeds;
-  const char* env = std::getenv("CHEETAH_CHAOS_SEEDS");
-  std::string spec = env != nullptr ? env : "1,2,3";
-  std::stringstream ss(spec);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) {
-      seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-  }
-  if (seeds.empty()) {
-    seeds.push_back(1);
-  }
-  return seeds;
-}
-
 TestbedConfig ChaosConfig(Variant variant) {
   TestbedConfig config;
   config.meta_machines = 4;
@@ -84,14 +61,6 @@ TestbedConfig ChaosConfig(Variant variant) {
   return config;
 }
 
-// Deterministic ~1KB payload, unique per (worker, op index).
-std::string Payload(int worker, int i, const std::string& key) {
-  std::string tag = "v-w" + std::to_string(worker) + "-" + std::to_string(i);
-  std::string out = tag + "|" + key + "|";
-  out.resize(1024, 'x');
-  return out;
-}
-
 struct SweepResult {
   History history;
   std::string schedule_str;
@@ -99,112 +68,32 @@ struct SweepResult {
   bool audit_healthy = true;
 };
 
-// One full chaos run. Everything inside is a pure function of
+// One full chaos run: three workers over eight shared keys, mixed
+// put/get/delete. Everything inside is a pure function of
 // (variant, schedule_idx, seed) — the determinism test relies on it.
-SweepResult RunSweep(Variant variant, int schedule_idx, uint64_t seed,
-                     bool unsafe_skip_persist_wait = false) {
+SweepResult RunSweep(Variant variant, int schedule_idx, uint64_t seed) {
   SweepResult result;
   TestbedConfig config = ChaosConfig(variant);
-  config.options.unsafe_skip_persist_wait = unsafe_skip_persist_wait;
   const int meta_count = config.meta_machines;
   const int data_count = config.data_machines;
-  Testbed bed(std::move(config));
+  Sweep sweep(std::move(config));
+  Testbed& bed = sweep.bed();
   if (!bed.Boot().ok()) {
     ADD_FAILURE() << "boot failed";
     return result;
   }
-  const Nanos span = Seconds(4);
+  const NemesisSchedule schedule =
+      StandardSchedules(seed, meta_count, data_count, Seconds(4)).at(schedule_idx);
   bed.network().SeedFaults(seed * 7919 + static_cast<uint64_t>(schedule_idx));
-  NemesisSchedule schedule =
-      StandardSchedules(seed, meta_count, data_count, span).at(schedule_idx);
-  result.schedule_str = schedule.ToString();
   schedule.Install(bed);
-
-  // Workload: three workers over eight shared keys, mixed put/get/delete.
-  auto history = std::make_shared<History>();
-  auto done_workers = std::make_shared<int>(0);
-  constexpr int kWorkers = 3;
-  constexpr int kKeys = 8;
-  constexpr int kRounds = 14;
-  for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, history, done_workers,
-                       &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
-      Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
-      for (int i = 0; i < kRounds; ++i) {
-        const std::string key = "obj-" + std::to_string(rng.Uniform(kKeys));
-        const uint64_t dice = rng.Uniform(100);
-        if (dice < 50) {
-          const std::string value = Payload(w, i, key);
-          const uint64_t id = history->Invoke(w, OpType::kPut, key, value, loop.Now());
-          Status s = co_await proxy.Put(key, value);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.code() == ErrorCode::kAlreadyExists ||
-                     s.code() == ErrorCode::kResourceExhausted) {
-            out = Outcome::kNoEffect;
-          }
-          history->Return(id, out, "", loop.Now());
-        } else if (dice < 80) {
-          const uint64_t id = history->Invoke(w, OpType::kGet, key, "", loop.Now());
-          auto r = co_await proxy.Get(key);
-          if (r.ok()) {
-            history->Return(id, Outcome::kOk, *r, loop.Now());
-          } else if (r.status().IsNotFound()) {
-            history->Return(id, Outcome::kNotFound, "", loop.Now());
-          } else {
-            history->Return(id, Outcome::kNoEffect, "", loop.Now());
-          }
-        } else {
-          const uint64_t id = history->Invoke(w, OpType::kDelete, key, "", loop.Now());
-          Status s = co_await proxy.Delete(key);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.IsNotFound()) {
-            out = Outcome::kNotFound;
-          }
-          history->Return(id, out, "", loop.Now());
-        }
-        co_await sim::SleepFor(Millis(40) + rng.Uniform(Millis(160)));
-      }
-      ++*done_workers;
-    }, Nanos{0});
-  }
-  const Nanos deadline = bed.loop().Now() + Seconds(120);
-  while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
-  result.workers_done = *done_workers == kWorkers;
-
-  // Restore everything (schedules end restorative, this is belt-and-braces),
-  // let recovery and the cleaner settle, then audit every key: the final
+  result.schedule_str = schedule.ToString();
+  const ClientMix mix;
+  result.workers_done = sweep.RunClients(mix, seed);
+  // Schedules end restorative; restoring again is belt-and-braces. The final
   // reads join the history like any other ops.
-  bed.Heal();
-  bed.network().ClearLinkFaults();
-  for (int i = 0; i < bed.num_data(); ++i) {
-    bed.data_machine(i).ClearGrayFailure();
-  }
-  for (sim::NodeId node : bed.AllNodes()) {
-    bed.Restart(node);  // no-op for alive nodes
-  }
-  bed.RunFor(Seconds(5));
-  for (int k = 0; k < kKeys; ++k) {
-    const std::string key = "obj-" + std::to_string(k);
-    const uint64_t id = history->Invoke(99, OpType::kGet, key, "", bed.loop().Now());
-    auto r = bed.GetObject(0, key);
-    if (r.ok()) {
-      history->Return(id, Outcome::kOk, *r, bed.loop().Now());
-    } else if (r.status().IsNotFound()) {
-      history->Return(id, Outcome::kNotFound, "", bed.loop().Now());
-    } else {
-      history->Return(id, Outcome::kNoEffect, "", bed.loop().Now());
-      result.audit_healthy = false;
-    }
-  }
-  result.history = *history;
+  sweep.RestoreAll();
+  result.audit_healthy = sweep.AuditKeys(mix.Keys());
+  result.history = sweep.history();
   return result;
 }
 
@@ -243,7 +132,7 @@ TEST_P(ChaosSweep, HistoriesAreLinearizable) {
 
 std::vector<Param> MakeParams() {
   std::vector<Param> out;
-  for (uint64_t seed : ChaosSeeds()) {
+  for (uint64_t seed : SeedsFromEnv("CHEETAH_CHAOS_SEEDS", "1,2,3")) {
     // Base gets the full battery; the ablation variants get the heaviest
     // schedules (power-fail view change, combined) to bound suite runtime.
     for (int sched = 0; sched < 6; ++sched) {
@@ -271,9 +160,8 @@ TEST(ChaosDeterminism, SameSeedSameHistory) {
   // Cross-engine guard: the reference heap engine must replay the identical
   // run byte for byte — the timer wheel is only allowed to be faster, never
   // different.
-  sim::EventLoop::OverrideDefaultEngine(sim::EventLoop::Engine::kHeap);
-  SweepResult c = RunSweep(Variant::kBase, /*schedule=*/5, /*seed=*/1);
-  sim::EventLoop::OverrideDefaultEngine(std::nullopt);
+  SweepResult c =
+      OnHeapEngine([] { return RunSweep(Variant::kBase, /*schedule=*/5, /*seed=*/1); });
   EXPECT_EQ(a.schedule_str, c.schedule_str);
   EXPECT_EQ(a.history.Serialize(), c.history.Serialize());
 }
@@ -288,9 +176,8 @@ TEST(ChaosInjectedBug, SkippedPersistWaitIsCaught) {
     TestbedConfig config = ChaosConfig(Variant::kBase);
     config.options.unsafe_skip_persist_wait = bug;
     const int meta_count = config.meta_machines;
-    Testbed bed(std::move(config));
-    EXPECT_TRUE(bed.Boot().ok());
-    bed.network().SeedFaults(seed);
+    Sweep sweep(std::move(config));
+    EXPECT_TRUE(sweep.bed().Boot().ok());
 
     NemesisSchedule schedule;
     schedule.Add(Millis(150), "gray ALL meta disks x25",
@@ -319,15 +206,17 @@ TEST(ChaosInjectedBug, SkippedPersistWaitIsCaught) {
                      b.Restart(b.meta_node(i));
                    }
                  });
-    schedule.Install(bed);
+    sweep.bed().network().SeedFaults(seed);
+    schedule.Install(sweep.bed());
 
-    auto history = std::make_shared<History>();
+    History* history = &sweep.history();
     auto done_workers = std::make_shared<int>(0);
     auto put_count = std::make_shared<int>(0);
     constexpr int kWorkers = 3;
     for (int w = 0; w < kWorkers; ++w) {
-      bed.RunOnProxy(w, [w, seed, history, done_workers, put_count,
-                         &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
+      sweep.bed().RunOnProxy(w, [w, seed, history, done_workers, put_count,
+                                 &loop = sweep.bed().loop()](
+                                    ClientProxy& proxy) -> sim::Task<> {
         Rng rng(seed * 31 + static_cast<uint64_t>(w));
         const Nanos start = loop.Now();
         // No op-count cap below the time cutoff: the workers must still be
@@ -336,19 +225,14 @@ TEST(ChaosInjectedBug, SkippedPersistWaitIsCaught) {
         for (int i = 0; i < 100000; ++i) {
           const std::string key =
               "bug-w" + std::to_string(w) + "-" + std::to_string(i);
-          const std::string value = Payload(w, i, key);
+          const std::string value = DefaultPayload(w, i, key);
           const uint64_t id =
               history->Invoke(w, OpType::kPut, key, value, loop.Now());
           Status s = co_await proxy.Put(key, value);
-          Outcome out = Outcome::kAmbiguous;
           if (s.ok()) {
-            out = Outcome::kOk;
             ++*put_count;
-          } else if (s.code() == ErrorCode::kAlreadyExists ||
-                     s.code() == ErrorCode::kResourceExhausted) {
-            out = Outcome::kNoEffect;
           }
-          history->Return(id, out, "", loop.Now());
+          history->Return(id, Classify(OpType::kPut, s), "", loop.Now());
           if (loop.Now() > start + Millis(800)) {
             break;  // past the interesting window; stop early
           }
@@ -357,15 +241,10 @@ TEST(ChaosInjectedBug, SkippedPersistWaitIsCaught) {
         ++*done_workers;
       }, Nanos{0});
     }
-    const Nanos deadline = bed.loop().Now() + Seconds(120);
-    while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-      if (!bed.loop().RunOne()) {
-        break;
-      }
-    }
+    sweep.RunUntilDone(*done_workers, kWorkers);
     EXPECT_EQ(*done_workers, kWorkers) << "bug workload hung";
     EXPECT_GT(*put_count, 0) << "no put was ever acked";
-    bed.RunFor(Seconds(5));
+    sweep.bed().RunFor(Seconds(5));
     // Audit every key the workers touched.
     std::vector<std::string> keys;
     for (const auto& op : history->ops()) {
@@ -373,18 +252,7 @@ TEST(ChaosInjectedBug, SkippedPersistWaitIsCaught) {
         keys.push_back(op.key);
       }
     }
-    for (const std::string& key : keys) {
-      const uint64_t id =
-          history->Invoke(99, OpType::kGet, key, "", bed.loop().Now());
-      auto r = bed.GetObject(0, key);
-      if (r.ok()) {
-        history->Return(id, Outcome::kOk, *r, bed.loop().Now());
-      } else if (r.status().IsNotFound()) {
-        history->Return(id, Outcome::kNotFound, "", bed.loop().Now());
-      } else {
-        history->Return(id, Outcome::kNoEffect, "", bed.loop().Now());
-      }
-    }
+    sweep.AuditKeys(keys);
     return CheckLinearizable(*history);
   };
 

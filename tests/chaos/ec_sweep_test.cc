@@ -15,48 +15,20 @@
 // list (default "1,2"); failures print the seed + schedule for replay.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "src/chaos/history.h"
 #include "src/chaos/nemesis.h"
+#include "src/chaos/sweep.h"
 #include "src/common/crc32c.h"
 #include "src/core/scrubber.h"
-#include "src/core/testbed.h"
-#include "src/sim/event_loop.h"
 #include "src/tier/engine.h"
 
 namespace cheetah::chaos {
 namespace {
 
-using core::ClientProxy;
-using core::MetaServer;
 using core::Testbed;
 using core::TestbedConfig;
-
-constexpr int kKeys = 8;
-constexpr int kWorkers = 3;
-constexpr int kRounds = 12;
-
-std::vector<uint64_t> EcSeeds() {
-  std::vector<uint64_t> seeds;
-  const char* env = std::getenv("CHEETAH_EC_SEEDS");
-  std::string spec = env != nullptr ? env : "1,2";
-  std::stringstream ss(spec);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) {
-      seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-  }
-  if (seeds.empty()) {
-    seeds.push_back(1);
-  }
-  return seeds;
-}
 
 // RS(2,1) stripes next to 3-way replica LVs: 4 machines x 2 disks x 6 PVs.
 // Byte-for-byte payload storage so reconstruction is actually checked.
@@ -64,7 +36,7 @@ TestbedConfig EcChaosConfig() {
   TestbedConfig config;
   config.meta_machines = 3;
   config.data_machines = 4;
-  config.proxies = kWorkers;
+  config.proxies = kMixWorkers;
   config.pg_count = 8;
   config.disks_per_data_machine = 2;
   config.pvs_per_disk = 6;
@@ -106,23 +78,10 @@ struct EcSweepResult {
   std::string fingerprint;
 };
 
-void ScrubAllOnce(Testbed& bed) {
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->ScrubNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
-  while (*pending > 0 && bed.loop().RunOne()) {
-  }
-}
-
 uint64_t TotalCorruptFound(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    total += bed.meta(i).scrubber().stats().corrupt_found;
+    total += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
   return total;
 }
@@ -132,123 +91,66 @@ EcSweepResult RunEcSweep(uint64_t seed) {
   EcSweepResult result;
   TestbedConfig config = EcChaosConfig();
   const int data_count = config.data_machines;
-  Testbed bed(std::move(config));
+  Sweep sweep(std::move(config));
+  Testbed& bed = sweep.bed();
+  History& history = sweep.history();
   if (!bed.Boot().ok()) {
     ADD_FAILURE() << "boot failed";
     return result;
   }
 
+  // Writers and deleters race the demotion engine over eight keys: a put
+  // recreates its key with a fresh version, racing demotion's swap phase.
+  ClientMix mix;
+  mix.rounds = 12;
+  mix.key_prefix = "ec-";
+  mix.put_pct = 25;
+  mix.get_pct = 55;
+  mix.payload = [seed](int w, int i, const std::string& key) {
+    return Payload(seed, key, w * 1000 + i + 1);
+  };
+
   // Phase 1: populate every key (version 0), then let the cleaner settle the
   // puts and the first demotion waves run — the chaos arrives with stripes
   // already on disk.
-  auto history = std::make_shared<History>();
-  for (int k = 0; k < kKeys; ++k) {
-    const std::string key = "ec-" + std::to_string(k);
+  for (const std::string& key : mix.Keys()) {
     const std::string value = Payload(seed, key, 0);
-    const uint64_t id = history->Invoke(98, OpType::kPut, key, value, bed.loop().Now());
+    const uint64_t id = history.Invoke(98, OpType::kPut, key, value, bed.loop().Now());
     Status s = bed.PutObject(0, key, value);
-    history->Return(id, s.ok() ? Outcome::kOk : Outcome::kAmbiguous, "",
-                    bed.loop().Now());
+    history.Return(id, Classify(OpType::kPut, s), "", bed.loop().Now());
   }
   bed.RunFor(Seconds(2));
 
   // Phase 2: chunk loss + rot + wild writes while workers mutate and read.
-  const Nanos span = Seconds(3);
+  const NemesisSchedule schedule = EcChunkChaos(seed, data_count, Seconds(3));
   bed.network().SeedFaults(seed * 7919);
-  NemesisSchedule schedule = EcChunkChaos(seed, data_count, span);
-  result.schedule_str = schedule.ToString();
   schedule.Install(bed);
-
-  auto done_workers = std::make_shared<int>(0);
-  for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, history, done_workers,
-                       &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
-      Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
-      for (int i = 0; i < kRounds; ++i) {
-        const std::string key = "ec-" + std::to_string(rng.Uniform(kKeys));
-        const uint64_t dice = rng.Uniform(100);
-        if (dice < 25) {
-          // Recreate with a fresh version: races demotion's swap phase.
-          const std::string value =
-              Payload(seed, key, w * 1000 + i + 1);
-          const uint64_t id = history->Invoke(w, OpType::kPut, key, value, loop.Now());
-          Status s = co_await proxy.Put(key, value);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.code() == ErrorCode::kAlreadyExists ||
-                     s.code() == ErrorCode::kResourceExhausted) {
-            out = Outcome::kNoEffect;
-          }
-          history->Return(id, out, "", loop.Now());
-        } else if (dice < 80) {
-          const uint64_t id = history->Invoke(w, OpType::kGet, key, "", loop.Now());
-          auto r = co_await proxy.Get(key);
-          if (r.ok()) {
-            history->Return(id, Outcome::kOk, *r, loop.Now());
-          } else if (r.status().IsNotFound()) {
-            history->Return(id, Outcome::kNotFound, "", loop.Now());
-          } else {
-            history->Return(id, Outcome::kNoEffect, "", loop.Now());
-          }
-        } else {
-          const uint64_t id = history->Invoke(w, OpType::kDelete, key, "", loop.Now());
-          Status s = co_await proxy.Delete(key);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.IsNotFound()) {
-            out = Outcome::kNotFound;
-          }
-          history->Return(id, out, "", loop.Now());
-        }
-        co_await sim::SleepFor(Millis(40) + rng.Uniform(Millis(160)));
-      }
-      ++*done_workers;
-    }, Nanos{0});
-  }
-  const Nanos deadline = bed.loop().Now() + Seconds(120);
-  while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
-  result.workers_done = *done_workers == kWorkers;
+  result.schedule_str = schedule.ToString();
+  result.workers_done = sweep.RunClients(mix, seed);
 
   // Phase 3: restore, give scrub + tier a fixed repair budget, then audit.
   for (int i = 0; i < bed.num_data(); ++i) {
     bed.data_machine(i).ClearGrayFailure();
   }
   bed.RunFor(Seconds(4));
-  ScrubAllOnce(bed);
+  bed.ScrubAll();
   bed.RunFor(Millis(500));
 
   const uint64_t corrupt_before_audit = TotalCorruptFound(bed);
-  ScrubAllOnce(bed);
+  bed.ScrubAll();
   result.residual_corrupt = TotalCorruptFound(bed) - corrupt_before_audit;
 
   // Final reads join the history; the checker then owns end-state validity.
-  for (int k = 0; k < kKeys; ++k) {
-    const std::string key = "ec-" + std::to_string(k);
-    const uint64_t id = history->Invoke(99, OpType::kGet, key, "", bed.loop().Now());
-    auto r = bed.GetObject(0, key);
-    if (r.ok()) {
-      history->Return(id, Outcome::kOk, *r, bed.loop().Now());
-    } else if (r.status().IsNotFound()) {
-      history->Return(id, Outcome::kNotFound, "", bed.loop().Now());
-    } else {
-      history->Return(id, Outcome::kNoEffect, "", bed.loop().Now());
-    }
-  }
+  sweep.AuditKeys(mix.Keys());
 
   // Every acked get must be byte-identical to some version actually written
   // to that key — reconstruction may never hand back invented bytes.
-  for (const Op& op : history->ops()) {
+  for (const Op& op : history.ops()) {
     if (op.type != OpType::kGet || op.outcome != Outcome::kOk) {
       continue;
     }
     bool known = false;
-    for (const Op& put : history->ops()) {
+    for (const Op& put : history.ops()) {
       if (put.type == OpType::kPut && put.key == op.key && put.value == op.value) {
         known = true;
         break;
@@ -260,16 +162,15 @@ EcSweepResult RunEcSweep(uint64_t seed) {
   }
 
   for (int i = 0; i < bed.num_meta(); ++i) {
-    auto ts = bed.meta(i).tier_engine().stats();
-    result.demotions += ts.demotions;
+    result.demotions += bed.meta(i).tier_engine().counters().demotions->value();
   }
-  for (int w = 0; w < kWorkers; ++w) {
-    result.inline_puts += bed.proxy(w).stats().inline_puts;
-    result.ec_degraded_reads += bed.proxy(w).stats().ec_degraded_reads;
+  for (int w = 0; w < kMixWorkers; ++w) {
+    result.inline_puts += bed.proxy(w).counters().inline_puts->value();
+    result.ec_degraded_reads += bed.proxy(w).counters().ec_degraded_reads->value();
   }
-  result.history = *history;
+  result.history = history;
   std::ostringstream fp;
-  fp << "hist=" << Crc32c(history->Serialize()) << " demotions=" << result.demotions
+  fp << "hist=" << Crc32c(history.Serialize()) << " demotions=" << result.demotions
      << " inline=" << result.inline_puts << " degraded=" << result.ec_degraded_reads
      << " corrupt_acked=" << result.corrupt_acked
      << " residual=" << result.residual_corrupt;
@@ -304,7 +205,9 @@ std::string SeedName(const ::testing::TestParamInfo<uint64_t>& info) {
   return "Seed" + std::to_string(info.param);
 }
 
-INSTANTIATE_TEST_SUITE_P(Matrix, EcSweep, ::testing::ValuesIn(EcSeeds()), SeedName);
+INSTANTIATE_TEST_SUITE_P(Matrix, EcSweep,
+                         ::testing::ValuesIn(SeedsFromEnv("CHEETAH_EC_SEEDS", "1,2")),
+                         SeedName);
 
 // Invariant 4: replayability — same seed, same schedule, same history, same
 // repair stats.
@@ -317,9 +220,7 @@ TEST(EcDeterminism, SameSeedSameRun) {
   // Cross-engine guard: the reference heap engine must replay the identical
   // run byte for byte — the timer wheel is only allowed to be faster, never
   // different.
-  sim::EventLoop::OverrideDefaultEngine(sim::EventLoop::Engine::kHeap);
-  EcSweepResult c = RunEcSweep(1);
-  sim::EventLoop::OverrideDefaultEngine(std::nullopt);
+  EcSweepResult c = OnHeapEngine([] { return RunEcSweep(1); });
   EXPECT_EQ(a.schedule_str, c.schedule_str);
   EXPECT_EQ(a.fingerprint, c.fingerprint);
 }

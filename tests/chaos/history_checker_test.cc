@@ -188,5 +188,35 @@ TEST(HistoryChecker, OverlongHistoryIsLoudNotSilent) {
   EXPECT_NE(v[0].reason.find("too long"), std::string::npos);
 }
 
+// The Status -> Outcome table the sweeps record ops with (history.h).
+TEST(HistoryChecker, ClassifyFollowsTheAmbiguityRules) {
+  struct Row {
+    OpType type;
+    Status status;
+    Outcome want;
+  };
+  const Row rows[] = {
+      {OpType::kPut, Status::Ok(), Outcome::kOk},
+      {OpType::kPut, Status::AlreadyExists(), Outcome::kNoEffect},
+      {OpType::kPut, Status::ResourceExhausted(), Outcome::kNoEffect},
+      {OpType::kPut, Status::Timeout(), Outcome::kAmbiguous},
+      {OpType::kPut, Status::Unavailable(), Outcome::kAmbiguous},
+      {OpType::kGet, Status::Ok(), Outcome::kOk},
+      {OpType::kGet, Status::NotFound(), Outcome::kNotFound},
+      {OpType::kGet, Status::Timeout(), Outcome::kNoEffect},
+      {OpType::kGet, Status::Corruption(), Outcome::kNoEffect},
+      {OpType::kGet, Status::Unavailable(), Outcome::kNoEffect},
+      {OpType::kDelete, Status::Ok(), Outcome::kOk},
+      {OpType::kDelete, Status::NotFound(), Outcome::kNotFound},
+      {OpType::kDelete, Status::Timeout(), Outcome::kAmbiguous},
+      {OpType::kDelete, Status::Unavailable(), Outcome::kAmbiguous},
+      {OpType::kDelete, Status::Overloaded(), Outcome::kAmbiguous},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(Classify(row.type, row.status), row.want)
+        << "op " << static_cast<int>(row.type) << " status " << row.status.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace cheetah::chaos

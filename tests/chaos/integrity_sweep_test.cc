@@ -16,47 +16,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/chaos/nemesis.h"
+#include "src/chaos/sweep.h"
 #include "src/common/crc32c.h"
 #include "src/core/scrubber.h"
-#include "src/core/testbed.h"
-#include "src/sim/event_loop.h"
-#include "tests/test_util.h"
 
 namespace cheetah::chaos {
 namespace {
 
 using core::ClientProxy;
-using core::MetaServer;
 using core::Testbed;
 using core::TestbedConfig;
 
 constexpr int kObjects = 24;
 constexpr int kWorkers = 2;
 constexpr int kRounds = 30;
-
-std::vector<uint64_t> IntegritySeeds() {
-  std::vector<uint64_t> seeds;
-  const char* env = std::getenv("CHEETAH_INTEGRITY_SEEDS");
-  std::string spec = env != nullptr ? env : "1,2";
-  std::stringstream ss(spec);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) {
-      seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-  }
-  if (seeds.empty()) {
-    seeds.push_back(1);
-  }
-  return seeds;
-}
 
 TestbedConfig IntegrityConfig(bool scrub_on) {
   TestbedConfig config;
@@ -101,23 +80,10 @@ struct IntegrityResult {
   std::string fingerprint;        // determinism: stats + final payload CRCs
 };
 
-void ScrubAllOnce(Testbed& bed) {
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->ScrubNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
-  while (*pending > 0 && bed.loop().RunOne()) {
-  }
-}
-
 uint64_t TotalCorruptFound(Testbed& bed) {
   uint64_t total = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    total += bed.meta(i).scrubber().stats().corrupt_found;
+    total += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
   return total;
 }
@@ -127,7 +93,8 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
   IntegrityResult result;
   TestbedConfig config = IntegrityConfig(scrub_on);
   const int data_count = config.data_machines;
-  Testbed bed(std::move(config));
+  Sweep sweep(std::move(config));
+  Testbed& bed = sweep.bed();
   if (!bed.Boot().ok()) {
     ADD_FAILURE() << "boot failed";
     return result;
@@ -144,18 +111,22 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
   }
   bed.RunFor(Seconds(2));
 
-  // Phase 2: damage arrives while readers hammer the objects.
+  // Phase 2: damage arrives while readers hammer the objects. The readers
+  // only get, so they draw their own RNG sequence instead of a ClientMix.
   const Nanos span = Seconds(3);
   if (with_nemesis) {
+    const NemesisSchedule schedule = IntegrityChaos(seed, data_count, span);
     bed.network().SeedFaults(seed * 7919);
-    NemesisSchedule schedule = IntegrityChaos(seed, data_count, span);
-    result.schedule_str = schedule.ToString();
     schedule.Install(bed);
+    result.schedule_str = schedule.ToString();
   }
-  auto shared = std::make_shared<IntegrityResult>();
+  // Readers tally into `live`; the result keeps a snapshot taken when the
+  // workers finish (or the deadline passes), so a hung reader cannot change
+  // the reported figures during the repair phase.
+  auto live = std::make_shared<IntegrityResult>();
   auto done_workers = std::make_shared<int>(0);
   for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, shared, done_workers, span,
+    bed.RunOnProxy(w, [w, seed, out = live, done_workers, span,
                        &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
       Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
       for (int i = 0; i < kRounds; ++i) {
@@ -163,31 +134,24 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
         const Nanos begin = loop.Now();
         auto r = co_await proxy.Get(ObjName(k));
         if (r.ok()) {
-          ++shared->ok_gets;
-          shared->get_lat.push_back(loop.Now() - begin);
+          ++out->ok_gets;
+          out->get_lat.push_back(loop.Now() - begin);
           if (*r != ExpectedPayload(seed, k)) {
-            ++shared->corrupt_acked;  // silent corruption reached a client
+            ++out->corrupt_acked;  // silent corruption reached a client
           }
         } else {
-          ++shared->failed_gets;
+          ++out->failed_gets;
         }
         co_await sim::SleepFor(span / kRounds / 2 + rng.Uniform(span / kRounds));
       }
       ++*done_workers;
     }, Nanos{0});
   }
-  const Nanos deadline = bed.loop().Now() + Seconds(120);
-  while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
-  result = std::move(*shared);
-  result.workers_done = *done_workers == kWorkers;
-  if (with_nemesis) {
-    NemesisSchedule schedule = IntegrityChaos(seed, data_count, span);
-    result.schedule_str = schedule.ToString();
-  }
+  result.workers_done = sweep.RunUntilDone(*done_workers, kWorkers);
+  result.corrupt_acked = live->corrupt_acked;
+  result.failed_gets = live->failed_gets;
+  result.ok_gets = live->ok_gets;
+  result.get_lat = live->get_lat;
 
   // Phase 3: the repair budget. The fault window is closed (IntegrityChaos
   // clears its own gray failure); the periodic scrubber gets a fixed slice
@@ -196,13 +160,13 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
     bed.data_machine(i).ClearGrayFailure();
   }
   bed.RunFor(Seconds(3));
-  ScrubAllOnce(bed);
+  bed.ScrubAll();
   bed.RunFor(Millis(500));
 
   // Audit pass: a fresh scrub must find nothing left to repair, and every
   // object must read back byte-identical.
   const uint64_t corrupt_before_audit = TotalCorruptFound(bed);
-  ScrubAllOnce(bed);
+  bed.ScrubAll();
   result.residual_corrupt = TotalCorruptFound(bed) - corrupt_before_audit;
   std::ostringstream fp;
   for (int k = 0; k < kObjects; ++k) {
@@ -223,10 +187,10 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
     }
   }
   for (int i = 0; i < bed.num_meta(); ++i) {
-    result.scrub_repairs += bed.meta(i).scrubber().stats().repairs;
+    result.scrub_repairs += bed.meta(i).scrubber().counters().repairs->value();
   }
   for (int w = 0; w < kWorkers; ++w) {
-    result.read_repairs += bed.proxy(w).stats().read_repairs;
+    result.read_repairs += bed.proxy(w).counters().read_repairs->value();
   }
   fp << "| injected=" << result.injected << " scrub_repairs=" << result.scrub_repairs
      << " read_repairs=" << result.read_repairs
@@ -271,8 +235,9 @@ std::string SeedName(const ::testing::TestParamInfo<uint64_t>& info) {
   return "Seed" + std::to_string(info.param);
 }
 
-INSTANTIATE_TEST_SUITE_P(Matrix, IntegritySweep,
-                         ::testing::ValuesIn(IntegritySeeds()), SeedName);
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, IntegritySweep,
+    ::testing::ValuesIn(SeedsFromEnv("CHEETAH_INTEGRITY_SEEDS", "1,2")), SeedName);
 
 // Invariant 3: replayability. Two runs of the same seed produce identical
 // schedules, stats, and final payload checksums.
@@ -285,9 +250,8 @@ TEST(IntegrityDeterminism, SameSeedSameRun) {
   // Cross-engine guard: the reference heap engine must replay the identical
   // run byte for byte — the timer wheel is only allowed to be faster, never
   // different.
-  sim::EventLoop::OverrideDefaultEngine(sim::EventLoop::Engine::kHeap);
-  IntegrityResult c = RunIntegrity(1, /*with_nemesis=*/true, /*scrub_on=*/true);
-  sim::EventLoop::OverrideDefaultEngine(std::nullopt);
+  IntegrityResult c = OnHeapEngine(
+      [] { return RunIntegrity(1, /*with_nemesis=*/true, /*scrub_on=*/true); });
   EXPECT_EQ(a.schedule_str, c.schedule_str);
   EXPECT_EQ(a.fingerprint, c.fingerprint);
 }

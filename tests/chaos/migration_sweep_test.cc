@@ -11,44 +11,18 @@
 // for local hunts, scripts/chaos.sh style).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <memory>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "src/chaos/history.h"
 #include "src/chaos/nemesis.h"
-#include "src/core/testbed.h"
-#include "src/sim/event_loop.h"
-#include "tests/test_util.h"
+#include "src/chaos/sweep.h"
 
 namespace cheetah::chaos {
 namespace {
 
-using core::ClientProxy;
-using core::Testbed;
 using core::TestbedConfig;
 
 constexpr const char* kFaultNames[] = {"CrashSource", "CrashDestination",
                                        "PartitionLeader"};
-
-std::vector<uint64_t> MigrateSeeds() {
-  std::vector<uint64_t> seeds;
-  const char* env = std::getenv("CHEETAH_MIGRATE_SEEDS");
-  std::string spec = env != nullptr ? env : "1,2,3";
-  std::stringstream ss(spec);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!tok.empty()) {
-      seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    }
-  }
-  if (seeds.empty()) {
-    seeds.push_back(1);
-  }
-  return seeds;
-}
 
 // Four meta machines: a drained node needs a destination among the survivors
 // (replication 3 of the remaining 3).
@@ -62,13 +36,6 @@ TestbedConfig MigrateChaosConfig() {
   config.pvs_per_disk = 3;
   config.lv_capacity_bytes = MiB(128);
   return config;
-}
-
-std::string Payload(int worker, int i, const std::string& key) {
-  std::string tag = "v-w" + std::to_string(worker) + "-" + std::to_string(i);
-  std::string out = tag + "|" + key + "|";
-  out.resize(1024, 'x');
-  return out;
 }
 
 struct SweepResult {
@@ -85,84 +52,24 @@ SweepResult RunSweep(int fault_idx, uint64_t seed) {
   SweepResult result;
   TestbedConfig config = MigrateChaosConfig();
   const int meta_count = config.meta_machines;
-  Testbed bed(std::move(config));
+  Sweep sweep(std::move(config));
+  core::Testbed& bed = sweep.bed();
   if (!bed.Boot().ok()) {
     ADD_FAILURE() << "boot failed";
     return result;
   }
-  const Nanos span = Seconds(4);
+  const NemesisSchedule schedule =
+      MigrationSchedules(seed, meta_count, Seconds(4)).at(fault_idx);
   bed.network().SeedFaults(seed * 7919 + static_cast<uint64_t>(fault_idx));
-  NemesisSchedule schedule = MigrationSchedules(seed, meta_count, span).at(fault_idx);
-  result.schedule_str = schedule.ToString();
   schedule.Install(bed);
-
-  auto history = std::make_shared<History>();
-  auto done_workers = std::make_shared<int>(0);
-  constexpr int kWorkers = 3;
-  constexpr int kKeys = 8;
-  constexpr int kRounds = 14;
-  for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, history, done_workers,
-                       &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
-      Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
-      for (int i = 0; i < kRounds; ++i) {
-        const std::string key = "obj-" + std::to_string(rng.Uniform(kKeys));
-        const uint64_t dice = rng.Uniform(100);
-        if (dice < 50) {
-          const std::string value = Payload(w, i, key);
-          const uint64_t id = history->Invoke(w, OpType::kPut, key, value, loop.Now());
-          Status s = co_await proxy.Put(key, value);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.code() == ErrorCode::kAlreadyExists ||
-                     s.code() == ErrorCode::kResourceExhausted) {
-            out = Outcome::kNoEffect;
-          }
-          history->Return(id, out, "", loop.Now());
-        } else if (dice < 80) {
-          const uint64_t id = history->Invoke(w, OpType::kGet, key, "", loop.Now());
-          auto r = co_await proxy.Get(key);
-          if (r.ok()) {
-            history->Return(id, Outcome::kOk, *r, loop.Now());
-          } else if (r.status().IsNotFound()) {
-            history->Return(id, Outcome::kNotFound, "", loop.Now());
-          } else {
-            history->Return(id, Outcome::kNoEffect, "", loop.Now());
-          }
-        } else {
-          const uint64_t id = history->Invoke(w, OpType::kDelete, key, "", loop.Now());
-          Status s = co_await proxy.Delete(key);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.IsNotFound()) {
-            out = Outcome::kNotFound;
-          }
-          history->Return(id, out, "", loop.Now());
-        }
-        co_await sim::SleepFor(Millis(40) + rng.Uniform(Millis(160)));
-      }
-      ++*done_workers;
-    }, Nanos{0});
-  }
-  const Nanos deadline = bed.loop().Now() + Seconds(120);
-  while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
-  result.workers_done = *done_workers == kWorkers;
+  result.schedule_str = schedule.ToString();
+  const ClientMix mix;
+  result.workers_done = sweep.RunClients(mix, seed);
 
   // Heal, restart, settle. A drain may legitimately still be running (the
   // schedules re-issue one late); give it room to finish, then require that
   // no migration entry is stuck in the topology.
-  bed.Heal();
-  bed.network().ClearLinkFaults();
-  for (sim::NodeId node : bed.AllNodes()) {
-    bed.Restart(node);  // no-op for alive nodes
-  }
-  bed.RunFor(Seconds(5));
+  sweep.RestoreAll();
   const Nanos settle_deadline = bed.loop().Now() + Seconds(30);
   while (bed.loop().Now() < settle_deadline) {
     const int leader = bed.LeaderManager();
@@ -175,20 +82,8 @@ SweepResult RunSweep(int fault_idx, uint64_t seed) {
   }
 
   // Audit every key: the final reads join the history like any other ops.
-  for (int k = 0; k < kKeys; ++k) {
-    const std::string key = "obj-" + std::to_string(k);
-    const uint64_t id = history->Invoke(99, OpType::kGet, key, "", bed.loop().Now());
-    auto r = bed.GetObject(0, key);
-    if (r.ok()) {
-      history->Return(id, Outcome::kOk, *r, bed.loop().Now());
-    } else if (r.status().IsNotFound()) {
-      history->Return(id, Outcome::kNotFound, "", bed.loop().Now());
-    } else {
-      history->Return(id, Outcome::kNoEffect, "", bed.loop().Now());
-      result.audit_healthy = false;
-    }
-  }
-  result.history = *history;
+  result.audit_healthy = sweep.AuditKeys(mix.Keys());
+  result.history = sweep.history();
   return result;
 }
 
@@ -226,7 +121,7 @@ TEST_P(MigrationSweep, HistoriesAreLinearizable) {
 
 std::vector<Param> MakeParams() {
   std::vector<Param> out;
-  for (uint64_t seed : MigrateSeeds()) {
+  for (uint64_t seed : SeedsFromEnv("CHEETAH_MIGRATE_SEEDS", "1,2,3")) {
     for (int fault = 0; fault < 3; ++fault) {
       out.push_back({fault, seed});
     }
@@ -248,9 +143,7 @@ TEST(MigrationDeterminism, SameSeedSameHistory) {
   // Cross-engine guard: the reference heap engine must replay the identical
   // run byte for byte — the timer wheel is only allowed to be faster, never
   // different.
-  sim::EventLoop::OverrideDefaultEngine(sim::EventLoop::Engine::kHeap);
-  SweepResult c = RunSweep(/*fault_idx=*/0, /*seed=*/1);
-  sim::EventLoop::OverrideDefaultEngine(std::nullopt);
+  SweepResult c = OnHeapEngine([] { return RunSweep(/*fault_idx=*/0, /*seed=*/1); });
   EXPECT_EQ(a.schedule_str, c.schedule_str);
   EXPECT_EQ(a.history.Serialize(), c.history.Serialize());
 }

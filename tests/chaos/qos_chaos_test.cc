@@ -6,24 +6,22 @@
 //   (2) no foreground request was shed anywhere while background classes
 //       were actively dispatched — the shed ladder stops above foreground,
 //   (3) the whole run replays byte-for-byte (history serialization equality
-//       across two identical runs).
+//       across two identical runs, and under the reference heap engine).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
 #include <string>
 
-#include "src/chaos/history.h"
 #include "src/chaos/nemesis.h"
+#include "src/chaos/sweep.h"
 #include "src/core/messages.h"
-#include "src/core/testbed.h"
 #include "src/obs/metrics.h"
 #include "src/qos/qos.h"
 
 namespace cheetah::chaos {
 namespace {
 
-using core::ClientProxy;
 using core::Testbed;
 using core::TestbedConfig;
 
@@ -45,13 +43,6 @@ uint64_t SumQosCounters(const std::string& field) {
     pos += needle.size();
   }
   return total;
-}
-
-std::string Payload(int worker, int i, const std::string& key) {
-  std::string out =
-      "v-w" + std::to_string(worker) + "-" + std::to_string(i) + "|" + key + "|";
-  out.resize(1024, 'x');
-  return out;
 }
 
 // Keeps the background class busy for the whole run: pull PGs from the meta
@@ -97,7 +88,8 @@ QosChaosResult RunQosChaos(uint64_t seed) {
   config.options.qos.enabled = true;
   const int meta_count = config.meta_machines;
   const int data_count = config.data_machines;
-  Testbed bed(std::move(config));
+  Sweep sweep(std::move(config));
+  Testbed& bed = sweep.bed();
   if (!bed.Boot().ok()) {
     ADD_FAILURE() << "boot failed";
     return result;
@@ -106,12 +98,11 @@ QosChaosResult RunQosChaos(uint64_t seed) {
   const uint64_t fg_sheds_before = SumQosCounters("shed.foreground");
   const uint64_t bg_dispatched_before = SumQosCounters("dispatched.background");
 
-  const Nanos span = Seconds(4);
+  const NemesisSchedule schedule =
+      StandardSchedules(seed, meta_count, data_count, Seconds(4)).back();  // Combined
   bed.network().SeedFaults(seed * 7919 + 42);
-  NemesisSchedule schedule =
-      StandardSchedules(seed, meta_count, data_count, span).back();  // Combined
-  result.schedule_str = schedule.ToString();
   schedule.Install(bed);
+  result.schedule_str = schedule.ToString();
 
   auto stop_pullers = std::make_shared<bool>(false);
   for (int i = 0; i < 2; ++i) {
@@ -119,95 +110,22 @@ QosChaosResult RunQosChaos(uint64_t seed) {
         BgPuller(&bed.proxy_rpc(2), &bed, stop_pullers, i));
   }
 
-  auto history = std::make_shared<History>();
-  auto done_workers = std::make_shared<int>(0);
-  constexpr int kWorkers = 3;
-  constexpr int kKeys = 8;
-  constexpr int kRounds = 12;
-  for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, history, done_workers,
-                       &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
-      Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
-      for (int i = 0; i < kRounds; ++i) {
-        const std::string key = "obj-" + std::to_string(rng.Uniform(kKeys));
-        const uint64_t dice = rng.Uniform(100);
-        if (dice < 50) {
-          const std::string value = Payload(w, i, key);
-          const uint64_t id = history->Invoke(w, OpType::kPut, key, value, loop.Now());
-          Status s = co_await proxy.Put(key, value);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.code() == ErrorCode::kAlreadyExists ||
-                     s.code() == ErrorCode::kResourceExhausted) {
-            out = Outcome::kNoEffect;
-          }
-          history->Return(id, out, "", loop.Now());
-        } else if (dice < 80) {
-          const uint64_t id = history->Invoke(w, OpType::kGet, key, "", loop.Now());
-          auto r = co_await proxy.Get(key);
-          if (r.ok()) {
-            history->Return(id, Outcome::kOk, *r, loop.Now());
-          } else if (r.status().IsNotFound()) {
-            history->Return(id, Outcome::kNotFound, "", loop.Now());
-          } else {
-            history->Return(id, Outcome::kNoEffect, "", loop.Now());
-          }
-        } else {
-          const uint64_t id = history->Invoke(w, OpType::kDelete, key, "", loop.Now());
-          Status s = co_await proxy.Delete(key);
-          Outcome out = Outcome::kAmbiguous;
-          if (s.ok()) {
-            out = Outcome::kOk;
-          } else if (s.IsNotFound()) {
-            out = Outcome::kNotFound;
-          }
-          history->Return(id, out, "", loop.Now());
-        }
-        co_await sim::SleepFor(Millis(40) + rng.Uniform(Millis(160)));
-      }
-      ++*done_workers;
-    }, Nanos{0});
-  }
-  const Nanos deadline = bed.loop().Now() + Seconds(120);
-  while (*done_workers < kWorkers && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
-  result.workers_done = *done_workers == kWorkers;
+  ClientMix mix;
+  mix.rounds = 12;
+  result.workers_done = sweep.RunClients(mix, seed);
 
   // Restore, settle, audit every key into the same history.
   *stop_pullers = true;
-  bed.Heal();
-  bed.network().ClearLinkFaults();
-  for (int i = 0; i < bed.num_data(); ++i) {
-    bed.data_machine(i).ClearGrayFailure();
-  }
-  for (sim::NodeId node : bed.AllNodes()) {
-    bed.Restart(node);
-  }
-  bed.RunFor(Seconds(5));
-  for (int k = 0; k < kKeys; ++k) {
-    const std::string key = "obj-" + std::to_string(k);
-    const uint64_t id = history->Invoke(99, OpType::kGet, key, "", bed.loop().Now());
-    auto r = bed.GetObject(0, key);
-    if (r.ok()) {
-      history->Return(id, Outcome::kOk, *r, bed.loop().Now());
-    } else if (r.status().IsNotFound()) {
-      history->Return(id, Outcome::kNotFound, "", bed.loop().Now());
-    } else {
-      history->Return(id, Outcome::kNoEffect, "", bed.loop().Now());
-    }
-  }
+  sweep.RestoreAll();
+  sweep.AuditKeys(mix.Keys());
 
   result.fg_sheds = SumQosCounters("shed.foreground") - fg_sheds_before;
   result.bg_dispatched =
       SumQosCounters("dispatched.background") - bg_dispatched_before;
-  auto violations = CheckLinearizable(*history);
+  auto violations = CheckLinearizable(sweep.history());
   result.linearizable = violations.empty();
   result.violations = FormatViolations(violations);
-  result.history = history->Serialize();
+  result.history = sweep.history().Serialize();
   return result;
 }
 
@@ -233,6 +151,13 @@ TEST(QosChaosTest, QosChaosRunIsDeterministic) {
   EXPECT_EQ(a.history, b.history);
   EXPECT_EQ(a.schedule_str, b.schedule_str);
   EXPECT_EQ(a.fg_sheds, b.fg_sheds);
+  // Cross-engine guard: the reference heap engine must replay the identical
+  // run byte for byte — the timer wheel is only allowed to be faster, never
+  // different.
+  QosChaosResult c = OnHeapEngine([] { return RunQosChaos(2); });
+  ASSERT_TRUE(c.workers_done);
+  EXPECT_EQ(a.history, c.history);
+  EXPECT_EQ(a.schedule_str, c.schedule_str);
 }
 
 }  // namespace

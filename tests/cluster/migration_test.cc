@@ -120,11 +120,11 @@ TEST(MigrationTest, StaleProxyChasesNewOwnerWithoutBackoff) {
     bed.Partition(bed.proxy_node(1), bed.manager_node(m));
   }
   ASSERT_TRUE(bed.DrainMetaMachine(1).ok());
-  ASSERT_EQ(bed.proxy(1).stats().fast_redirects, 0u);
+  ASSERT_EQ(bed.proxy(1).counters().fast_redirects->value(), 0u);
   ASSERT_LT(bed.proxy(1).view(), bed.manager(bed.LeaderManager()).view());
   bed.Heal();
   ASSERT_TRUE(bed.PutObject(1, key, std::string(4096, 'r')).ok());
-  EXPECT_GE(bed.proxy(1).stats().fast_redirects, 1u)
+  EXPECT_GE(bed.proxy(1).counters().fast_redirects->value(), 1u)
       << "stale-owner NACK did not take the fast-redirect path";
   auto got = bed.GetObject(0, key);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -248,36 +248,10 @@ TestbedConfig MigrateEcConfig() {
   return config;
 }
 
-void TierAllNow(Testbed& bed) {
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](core::MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->TierNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
-  while (*pending > 0 && bed.loop().RunOne()) {
-  }
-}
-
-void ScrubAllNow(Testbed& bed) {
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](core::MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->ScrubNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
-  while (*pending > 0 && bed.loop().RunOne()) {
-  }
-}
-
 uint64_t TotalDemotions(Testbed& bed) {
   uint64_t sum = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    sum += bed.meta(i).tier_engine().stats().demotions;
+    sum += bed.meta(i).tier_engine().counters().demotions->value();
   }
   return sum;
 }
@@ -342,12 +316,12 @@ TEST(MigrationTest, DemoteDuringMigrateIsDeferred) {
 
   // The guards: a full tiering pass and a full scrub pass while the PG is
   // mid-migration must leave it alone.
-  TierAllNow(bed);
+  bed.TierAll();
   EXPECT_EQ(TotalDemotions(bed), 0u) << "object demoted while its PG was migrating";
-  ScrubAllNow(bed);
+  bed.ScrubAll();
   uint64_t corrupt = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
   EXPECT_EQ(corrupt, 0u);
 
@@ -365,7 +339,7 @@ TEST(MigrationTest, DemoteDuringMigrateIsDeferred) {
       << "drain did not complete after the destination recovered";
   bed.RunFor(Seconds(1));
 
-  TierAllNow(bed);
+  bed.TierAll();
   EXPECT_EQ(TotalDemotions(bed), 1u) << "deferred demotion did not run post-cutover";
   for (int p = 0; p < 2; ++p) {
     auto got = bed.GetObject(p, "cold");

@@ -180,7 +180,7 @@ TEST_F(CheetahTest, ReadCacheServesRepeatGets) {
     auto got = bed().GetObject(0, "hot");
     ASSERT_TRUE(got.ok());
   }
-  EXPECT_GT(bed().proxy(0).stats().cache_hits, 0u);
+  EXPECT_GT(bed().proxy(0).counters().cache_hits->value(), 0u);
 }
 
 TEST_F(CheetahTest, MetaxKvsCleanedAfterCommit) {
@@ -267,7 +267,7 @@ TEST_F(CheetahTest, DataServerCrashVolumesRecovered) {
   bed().RunFor(Seconds(4));  // detection + replacement + parallel pulls
   uint64_t recovered = 0;
   for (int i = 1; i < bed().num_data(); ++i) {
-    recovered += bed().data(i).stats().volumes_recovered;
+    recovered += bed().data(i).counters().volumes_recovered->value();
   }
   EXPECT_GT(recovered, 0u);
   // Writes proceed and all data remains readable after recovery.
@@ -359,7 +359,7 @@ TEST_F(CheetahTest, DataExpansionIsMigrationFree) {
   bed().RunFor(Seconds(1));
   // No recovery/migration traffic hit any data server.
   for (int i = 0; i < bed().num_data(); ++i) {
-    EXPECT_EQ(bed().data(i).stats().recovery_bytes, 0u);
+    EXPECT_EQ(bed().data(i).counters().recovery_bytes->value(), 0u);
   }
   // Old objects unaffected; new puts work (and can land on new volumes).
   for (int i = 0; i < 20; ++i) {
@@ -378,7 +378,7 @@ TEST_F(CheetahTest, MetaExpansionMovesMetadataNotData) {
   bed().RunFor(Seconds(2));  // clean logs so stats are quiescent
   uint64_t writes_before = 0;
   for (int i = 0; i < bed().num_data(); ++i) {
-    writes_before += bed().data(i).stats().writes;
+    writes_before += bed().data(i).counters().writes->value();
   }
   auto added = bed().AddMetaMachine();
   ASSERT_TRUE(added.ok()) << added.status().ToString();
@@ -388,7 +388,7 @@ TEST_F(CheetahTest, MetaExpansionMovesMetadataNotData) {
   // ...but not a single byte of object data.
   uint64_t writes_after = 0;
   for (int i = 0; i < bed().num_data(); ++i) {
-    writes_after += bed().data(i).stats().writes;
+    writes_after += bed().data(i).counters().writes->value();
   }
   EXPECT_EQ(writes_after, writes_before);
   uint64_t migrated = 0;

@@ -154,9 +154,9 @@ TEST(Recovery, SingleMetaBootReadiesEveryPgWithinOneHeartbeat) {
   for (cluster::PgId pg = 0; pg < 64; ++pg) {
     EXPECT_TRUE(bed.meta(0).IsReady(pg)) << "pg " << pg;
   }
-  const uint64_t retries_before = bed.proxy(0).stats().retries;
+  const uint64_t retries_before = bed.proxy(0).counters().retries->value();
   ASSERT_TRUE(bed.PutObject(0, "first-put", std::string(4096, 'f')).ok());
-  EXPECT_EQ(bed.proxy(0).stats().retries, retries_before) << "put answered pg not ready";
+  EXPECT_EQ(bed.proxy(0).counters().retries->value(), retries_before) << "put answered pg not ready";
 }
 
 }  // namespace

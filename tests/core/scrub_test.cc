@@ -27,19 +27,6 @@ class ScrubTest : public ::testing::Test {
     ASSERT_TRUE(bed_->Boot().ok());
   }
 
-  void ScrubAll() {
-    auto pending = std::make_shared<int>(bed_->num_meta());
-    for (int i = 0; i < bed_->num_meta(); ++i) {
-      bed_->meta_machine(i).actor().Spawn(
-          [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-            co_await server->ScrubNow();
-            --*pending;
-          }(&bed_->meta(i), pending));
-    }
-    while (*pending > 0 && bed_->loop().RunOne()) {
-    }
-  }
-
   std::unique_ptr<Testbed> bed_;
 };
 
@@ -48,11 +35,11 @@ TEST_F(ScrubTest, CleanClusterScrubsWithoutRepairs) {
     ASSERT_TRUE(bed_->PutObject(0, "s-" + std::to_string(i), std::string(8192, 's')).ok());
   }
   bed_->RunFor(Seconds(2));  // let logs clean so objects are settled
-  ScrubAll();
+  bed_->ScrubAll();
   uint64_t scrubbed = 0, repairs = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    scrubbed += bed_->meta(i).scrubber().stats().objects;
-    repairs += bed_->meta(i).scrubber().stats().repairs;
+    scrubbed += bed_->meta(i).scrubber().counters().objects->value();
+    repairs += bed_->meta(i).scrubber().counters().repairs->value();
   }
   EXPECT_EQ(scrubbed, 20u);
   EXPECT_EQ(repairs, 0u);
@@ -85,18 +72,18 @@ TEST_F(ScrubTest, ScrubRepairsLostReplica) {
   }
   ASSERT_GE(discarded_on, 0) << "no replica found to damage";
 
-  ScrubAll();
+  bed_->ScrubAll();
   uint64_t repairs = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    repairs += bed_->meta(i).scrubber().stats().repairs;
+    repairs += bed_->meta(i).scrubber().counters().repairs->value();
   }
   EXPECT_GE(repairs, 1u);
 
   // After repair, a second scrub is clean and the object reads everywhere.
-  ScrubAll();
+  bed_->ScrubAll();
   uint64_t repairs_after = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    repairs_after += bed_->meta(i).scrubber().stats().repairs;
+    repairs_after += bed_->meta(i).scrubber().counters().repairs->value();
   }
   EXPECT_EQ(repairs_after, repairs);
   for (int trial = 0; trial < 6; ++trial) {  // random replica choice
@@ -150,24 +137,24 @@ TEST_F(ScrubTest, VerifiedGetTriggersReadRepair) {
     auto got = bed_->GetObject(0, "heal-me");
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, payload);
-    observed = bed_->proxy(0).stats().corrupt_replica_reads;
+    observed = bed_->proxy(0).counters().corrupt_replica_reads->value();
   }
   ASSERT_GT(observed, 0u) << "no get ever touched a damaged replica";
   bed_->RunFor(Seconds(1));  // let the fire-and-forget repair land
-  EXPECT_GT(bed_->proxy(0).stats().read_repairs, 0u);
+  EXPECT_GT(bed_->proxy(0).counters().read_repairs->value(), 0u);
 
   // Read-repair only heals replicas the gets actually touched; one scrub
   // pass mops up any replica no get ever routed to, after which a second
   // pass finds nothing left.
-  ScrubAll();
+  bed_->ScrubAll();
   uint64_t corrupt_first = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    corrupt_first += bed_->meta(i).scrubber().stats().corrupt_found;
+    corrupt_first += bed_->meta(i).scrubber().counters().corrupt_found->value();
   }
-  ScrubAll();
+  bed_->ScrubAll();
   uint64_t corrupt_second = 0;
   for (int i = 0; i < bed_->num_meta(); ++i) {
-    corrupt_second += bed_->meta(i).scrubber().stats().corrupt_found;
+    corrupt_second += bed_->meta(i).scrubber().counters().corrupt_found->value();
   }
   EXPECT_EQ(corrupt_second, corrupt_first);
   // Read-repair got there first for at least one replica: the scrub pass had
@@ -272,27 +259,16 @@ TEST(ScrubRaceTest, ReadRepairRacingDeleteStaysConsistent) {
   }
 
   // Converged: two scrub passes, the second finds nothing to repair.
-  auto scrub_all = [&bed] {
-    auto pending = std::make_shared<int>(bed.num_meta());
-    for (int i = 0; i < bed.num_meta(); ++i) {
-      bed.meta_machine(i).actor().Spawn(
-          [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-            co_await server->ScrubNow();
-            --*pending;
-          }(&bed.meta(i), pending));
-    }
-    while (*pending > 0 && bed.loop().RunOne()) {
-    }
-  };
-  scrub_all();
+
+  bed.ScrubAll();
   uint64_t corrupt_before = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_before += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_before += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
-  scrub_all();
+  bed.ScrubAll();
   uint64_t corrupt_after = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_after += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_after += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
   EXPECT_EQ(corrupt_after, corrupt_before);
 }
@@ -313,7 +289,7 @@ TEST_F(ScrubTest, PeriodicScrubRunsWhenEnabled) {
   bed.RunFor(Seconds(3));
   uint64_t scrubbed = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    scrubbed += bed.meta(i).scrubber().stats().objects;
+    scrubbed += bed.meta(i).scrubber().counters().objects->value();
   }
   EXPECT_GT(scrubbed, 0u);
 }

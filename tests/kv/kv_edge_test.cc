@@ -137,7 +137,7 @@ TEST_F(KvEdgeTest, CorruptManifestFailsOpen) {
       (void)co_await db->Put("k" + std::to_string(i), std::string(200, 'v'));
     }
     co_await db->WaitForMaintenance();
-    EXPECT_GT(db->stats().flushes, 0u);
+    EXPECT_GT(db->counters().flushes->value(), 0u);
   });
   db_.reset();
   // Flip a byte in the manifest.

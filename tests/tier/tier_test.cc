@@ -44,41 +44,11 @@ TestbedConfig EcConfig() {
   return config;
 }
 
-void TierAllNow(Testbed& bed) {
-  auto pending = std::make_shared<int>(bed.num_meta());
+// One tier-engine counter summed over every meta server.
+uint64_t TierSum(Testbed& bed, obs::Counter* tier::TierEngine::Counters::*counter) {
+  uint64_t sum = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->TierNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
-  while (*pending > 0 && bed.loop().RunOne()) {
-  }
-}
-
-void ScrubAllNow(Testbed& bed) {
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->ScrubNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
-  while (*pending > 0 && bed.loop().RunOne()) {
-  }
-}
-
-tier::TierEngine::Stats TierStats(Testbed& bed) {
-  tier::TierEngine::Stats sum;
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    auto s = bed.meta(i).tier_engine().stats();
-    sum.scanned += s.scanned;
-    sum.demotions += s.demotions;
-    sum.demote_aborts += s.demote_aborts;
-    sum.demote_failures += s.demote_failures;
-    sum.bytes_demoted += s.bytes_demoted;
+    sum += (bed.meta(i).tier_engine().counters().*counter)->value();
   }
   return sum;
 }
@@ -86,7 +56,7 @@ tier::TierEngine::Stats TierStats(Testbed& bed) {
 uint64_t DataWrites(Testbed& bed) {
   uint64_t writes = 0;
   for (int i = 0; i < bed.num_data(); ++i) {
-    writes += bed.data(i).stats().writes;
+    writes += bed.data(i).counters().writes->value();
   }
   return writes;
 }
@@ -121,7 +91,7 @@ TEST(TierTest, InlinePutServedFromMetaXWithoutDataWrites) {
   const uint64_t writes_before = DataWrites(bed);
   ASSERT_TRUE(bed.PutObject(0, "tiny", payload).ok());
   EXPECT_EQ(DataWrites(bed), writes_before) << "inline put touched the data plane";
-  EXPECT_EQ(bed.proxy(0).stats().inline_puts, 1u);
+  EXPECT_EQ(bed.proxy(0).counters().inline_puts->value(), 1u);
 
   // Both the putting proxy (cache hit) and a cold proxy (GetMeta carries the
   // payload) read it back byte-identically.
@@ -135,11 +105,11 @@ TEST(TierTest, InlinePutServedFromMetaXWithoutDataWrites) {
   // Above the threshold the replica path still runs.
   ASSERT_TRUE(bed.PutObject(0, "big", RandomData(8192, 12)).ok());
   EXPECT_GT(DataWrites(bed), writes_before);
-  EXPECT_EQ(bed.proxy(0).stats().inline_puts, 1u);
+  EXPECT_EQ(bed.proxy(0).counters().inline_puts->value(), 1u);
 
   // Inline objects survive settle + scrub + delete like any other.
   bed.RunFor(Seconds(2));
-  ScrubAllNow(bed);
+  bed.ScrubAll();
   auto got = bed.GetObject(1, "tiny");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, payload);
@@ -155,10 +125,9 @@ TEST(TierTest, ColdObjectDemotesToEcAndReadsBack) {
   ASSERT_TRUE(bed.PutObject(0, "cold", payload).ok());
   bed.RunFor(Seconds(2));  // settle, and age past demote_after
 
-  TierAllNow(bed);
-  auto ts = TierStats(bed);
-  EXPECT_EQ(ts.demotions, 1u);
-  EXPECT_EQ(ts.bytes_demoted, payload.size());
+  bed.TierAll();
+  EXPECT_EQ(TierSum(bed, &tier::TierEngine::Counters::demotions), 1u);
+  EXPECT_EQ(TierSum(bed, &tier::TierEngine::Counters::bytes_demoted), payload.size());
 
   // Reads are byte-identical from both proxies: the putter's stale cached
   // replica metadata falls back to the authoritative EC record, and the cold
@@ -170,15 +139,15 @@ TEST(TierTest, ColdObjectDemotesToEcAndReadsBack) {
       EXPECT_EQ(*got, payload);
     }
   }
-  EXPECT_EQ(bed.proxy(1).stats().ec_degraded_reads, 0u) << "healthy stripe read degraded";
+  EXPECT_EQ(bed.proxy(1).counters().ec_degraded_reads->value(), 0u) << "healthy stripe read degraded";
 
   // A demoted object is not re-demoted, and the scrubber audits the stripe.
-  TierAllNow(bed);
-  EXPECT_EQ(TierStats(bed).demotions, 1u);
-  ScrubAllNow(bed);
+  bed.TierAll();
+  EXPECT_EQ(TierSum(bed, &tier::TierEngine::Counters::demotions), 1u);
+  bed.ScrubAll();
   uint64_t corrupt = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
   EXPECT_EQ(corrupt, 0u);
 
@@ -194,8 +163,8 @@ TEST(TierTest, DegradedReadReconstructsAndRepairsChunk) {
   const std::string payload = RandomData(65536, 31);
   ASSERT_TRUE(bed.PutObject(0, "striped", payload).ok());
   bed.RunFor(Seconds(2));
-  TierAllNow(bed);
-  ASSERT_EQ(TierStats(bed).demotions, 1u);
+  bed.TierAll();
+  ASSERT_EQ(TierSum(bed, &tier::TierEngine::Counters::demotions), 1u);
 
   // Corrupt every extent of exactly one stripe chunk (one PV of an ec_stripe
   // LV that actually holds data).
@@ -235,34 +204,35 @@ TEST(TierTest, DegradedReadReconstructsAndRepairsChunk) {
   auto got = bed.GetObject(1, "striped");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, payload);
-  const auto after_first = bed.proxy(1).stats();
+  const core::ClientProxy::Counters& proxy_counters = bed.proxy(1).counters();
+  const uint64_t degraded_after_first = proxy_counters.ec_degraded_reads->value();
   // The damaged chunk might be parity, in which case the fast path never saw
   // it; scrub it out below either way. If a data chunk was hit, the read was
   // degraded and repaired.
-  if (after_first.ec_degraded_reads > 0) {
-    EXPECT_GT(after_first.corrupt_replica_reads, 0u);
+  if (degraded_after_first > 0) {
+    EXPECT_GT(proxy_counters.corrupt_replica_reads->value(), 0u);
     bed.RunFor(Seconds(1));  // fire-and-forget repair lands
-    EXPECT_GT(bed.proxy(1).stats().ec_chunk_repairs, 0u);
+    EXPECT_GT(proxy_counters.ec_chunk_repairs->value(), 0u);
     auto again = bed.GetObject(1, "striped");
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, payload);
-    EXPECT_EQ(bed.proxy(1).stats().ec_degraded_reads, after_first.ec_degraded_reads)
+    EXPECT_EQ(proxy_counters.ec_degraded_reads->value(), degraded_after_first)
         << "chunk repair did not stick";
   }
 
   // The scrubber rebuilds whatever the reads did not touch; a second pass is
   // clean.
-  ScrubAllNow(bed);
+  bed.ScrubAll();
   bed.RunFor(Seconds(1));
-  ScrubAllNow(bed);
+  bed.ScrubAll();
   uint64_t corrupt_last = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_last += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_last += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
-  ScrubAllNow(bed);
+  bed.ScrubAll();
   uint64_t corrupt_final = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_final += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_final += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
   EXPECT_EQ(corrupt_final, corrupt_last);
   auto final_got = bed.GetObject(0, "striped");
@@ -283,14 +253,7 @@ TEST(TierRaceTest, DemotionRacingDeleteStaysConsistent) {
 
   // Kick the demotion scan and delete the object while the stripe build is
   // in flight; a reader hammers the name throughout.
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->TierNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
+  auto pending = bed.BeginTierAll();
   auto done = std::make_shared<int>(0);
   auto wrong_bytes = std::make_shared<int>(0);
   bed.RunOnProxy(0, [payload, done, wrong_bytes](ClientProxy& proxy) -> sim::Task<> {
@@ -332,15 +295,15 @@ TEST(TierRaceTest, DemotionRacingDeleteStaysConsistent) {
 
   // Converged: two scrub passes, the second finds nothing new.
   bed.RunFor(Seconds(2));
-  ScrubAllNow(bed);
+  bed.ScrubAll();
   uint64_t corrupt_before = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_before += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_before += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
-  ScrubAllNow(bed);
+  bed.ScrubAll();
   uint64_t corrupt_after = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_after += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_after += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
   EXPECT_EQ(corrupt_after, corrupt_before);
 }
@@ -357,14 +320,7 @@ TEST(TierRaceTest, DemotionRacingRecreateKeepsNewBytes) {
   ASSERT_TRUE(bed.PutObject(0, "obj", v1).ok());
   bed.RunFor(Seconds(2));
 
-  auto pending = std::make_shared<int>(bed.num_meta());
-  for (int i = 0; i < bed.num_meta(); ++i) {
-    bed.meta_machine(i).actor().Spawn(
-        [](MetaServer* server, std::shared_ptr<int> pending) -> sim::Task<> {
-          co_await server->TierNow();
-          --*pending;
-        }(&bed.meta(i), pending));
-  }
+  auto pending = bed.BeginTierAll();
   auto done = std::make_shared<int>(0);
   bed.RunOnProxy(1, [&v2, done](ClientProxy& proxy) -> sim::Task<> {
     co_await sim::SleepFor(Millis(2));
@@ -393,20 +349,20 @@ TEST(TierRaceTest, DemotionRacingRecreateKeepsNewBytes) {
   // Let v2 go cold and demote it too: the pipeline works end-to-end on a
   // name that went through the race.
   bed.RunFor(Seconds(1));
-  TierAllNow(bed);
+  bed.TierAll();
   auto got = bed.GetObject(0, "obj");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, v2);
 
-  ScrubAllNow(bed);
+  bed.ScrubAll();
   uint64_t corrupt_before = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_before += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_before += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
-  ScrubAllNow(bed);
+  bed.ScrubAll();
   uint64_t corrupt_after = 0;
   for (int i = 0; i < bed.num_meta(); ++i) {
-    corrupt_after += bed.meta(i).scrubber().stats().corrupt_found;
+    corrupt_after += bed.meta(i).scrubber().counters().corrupt_found->value();
   }
   EXPECT_EQ(corrupt_after, corrupt_before);
 }
@@ -422,7 +378,7 @@ TEST(TierTest, PeriodicScanDemotesWhenEnabled) {
   const std::string payload = RandomData(65536, 61);
   ASSERT_TRUE(bed.PutObject(0, "auto-cold", payload).ok());
   bed.RunFor(Seconds(4));
-  EXPECT_GE(TierStats(bed).demotions, 1u);
+  EXPECT_GE(TierSum(bed, &tier::TierEngine::Counters::demotions), 1u);
   auto got = bed.GetObject(1, "auto-cold");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, payload);
