@@ -56,6 +56,10 @@ CHEETAH_EC_SMOKE=1 "$builddir/bench/ec_tradeoffs"
 # completed drain, and a clean full audit afterwards.
 ctest --preset "$preset" -L migrate -j "$(nproc)"
 CHEETAH_RESIZE_SMOKE=1 "$builddir/bench/resize_under_fire"
+# Fig. 14 is the only bench that drives the Cheetah-NoVG data migration
+# (MigratePgData); it asserts zero errors and in-expansion GET p99 <= 3x
+# steady state.
+CHEETAH_BENCH_SCALE=0.02 "$builddir/bench/fig14_expansion"
 # Fig. 13 boots a single meta server, whose PGs have no peer to pull from; it
 # asserts zero failed puts, Meta/Dir >= 0.9 and a >= 3x rise from 5 to 30
 # clients.

@@ -268,12 +268,12 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const std::st
     co_return Status::Ok();
   }
   if (!reply->inline_stored) {
-    const cluster::LogicalVolume* lv = topo_.FindLv(reply->lvid);
-    if (lv == nullptr) {
+    auto set = ReplicaSet::Of(topo_, reply->lvid, reply->extents);
+    if (!set.ok()) {
       persist_waits_.erase(reqid);
-      co_return Status::StaleView("allocated volume unknown to this proxy");
+      co_return set.status();
     }
-    Status ws = co_await WriteDataReplicas(*lv, reply->extents, data, checksum);
+    Status ws = co_await WriteDataReplicas(*set, data, checksum);
     if (!ws.ok()) {
       persist_waits_.erase(reqid);
       co_return Status::IoError("data write failed: " + ws.ToString());
@@ -324,27 +324,15 @@ sim::Task<Status> ClientProxy::PutAttempt(const std::string& name, const std::st
   co_return Status::Ok();
 }
 
-sim::Task<Status> ClientProxy::WriteDataReplicas(const cluster::LogicalVolume& lv,
-                                                 const std::vector<alloc::Extent>& extents,
-                                                 const std::string& data, uint32_t checksum) {
+sim::Task<Status> ClientProxy::WriteDataReplicas(const ReplicaSet& set, const std::string& data,
+                                                 uint32_t checksum) {
+  if (!set.complete()) {
+    co_return Status::StaleView("physical volume unknown");
+  }
   std::vector<sim::Task<Status>> tasks;
-  for (cluster::PvId pv_id : lv.replicas) {
-    const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-    if (pv == nullptr) {
-      co_return Status::StaleView("physical volume unknown");
-    }
-    tasks.push_back([](ClientProxy* self, const cluster::PhysicalVolume* pv,
-                       uint32_t block_size, std::vector<alloc::Extent> extents,
-                       std::string data, uint32_t checksum) -> sim::Task<Status> {
-      DataWriteRequest write;
-      write.view = self->topo_.view;
-      write.device = pv->DeviceName();
-      write.disk_index = pv->disk_index;
-      write.block_size = block_size;
-      write.extents = std::move(extents);
-      write.data = std::move(data);
-      write.checksum = checksum;
-      const sim::NodeId target = pv->data_server;
+  for (const Replica& r : set) {
+    tasks.push_back([](ClientProxy* self, sim::NodeId target,
+                       DataWriteRequest write) -> sim::Task<Status> {
       auto r = co_await self->rpc_.Call(target, std::move(write), self->options_.rpc_timeout);
       if (!r.ok()) {
         if (r.status().IsTimeout()) {
@@ -353,7 +341,7 @@ sim::Task<Status> ClientProxy::WriteDataReplicas(const cluster::LogicalVolume& l
         co_return r.status();
       }
       co_return Status::Ok();
-    }(this, pv, lv.block_size, extents, data, checksum));
+    }(this, r.node, set.Write(r, data, checksum)));
   }
   auto results = co_await sim::WhenAll(std::move(tasks));
   for (const Status& s : results) {
@@ -398,7 +386,7 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
       std::vector<sim::Task<>> tasks;
       tasks.push_back([](ClientProxy* self, ObMeta m,
                          std::shared_ptr<ParallelGet> par) -> sim::Task<> {
-        par->data = co_await self->ReadData(m, /*verify=*/true);
+        par->data = co_await self->ReadData(m);
       }(this, cached_meta, par));
       GetMetaRequest req;
       req.view = topo_.view;
@@ -418,7 +406,7 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
       if (meta.ok() && !data0.ok()) {
         // Metadata moved (migration/recovery): retry the read at the fresh
         // location using the authoritative metadata.
-        auto data = co_await ReadData(par->meta->meta, /*verify=*/true);
+        auto data = co_await ReadData(par->meta->meta);
         if (data.ok()) {
           counters_.gets->Add();
           co_return data;
@@ -454,7 +442,7 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
       }
       continue;
     }
-    auto data = co_await ReadData(meta->meta, /*verify=*/true);
+    auto data = co_await ReadData(meta->meta);
     if (data.ok()) {
       if (options_.enable_read_cache) {
         meta_cache_[name] = meta->meta;
@@ -471,10 +459,10 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
   co_return Status::Unavailable("get exhausted retries");
 }
 
-sim::Task<Result<std::string>> ClientProxy::ReadData(const ObMeta& meta, bool verify) {
+sim::Task<Result<std::string>> ClientProxy::ReadData(const ObMeta& meta) {
   if (meta.storage_class == StorageClass::kInline) {
     // The payload rode inside the MetaX record; nothing on the data plane.
-    if (verify && Crc32c(meta.inline_data) != meta.checksum) {
+    if (Crc32c(meta.inline_data) != meta.checksum) {
       co_return Status::Corruption("inline payload checksum mismatch");
     }
     co_return meta.inline_data;
@@ -482,143 +470,96 @@ sim::Task<Result<std::string>> ClientProxy::ReadData(const ObMeta& meta, bool ve
   if (meta.storage_class == StorageClass::kEc) {
     co_return co_await ReadEcData(meta);
   }
-  const cluster::LogicalVolume* lv = topo_.FindLv(meta.lvid);
-  if (lv == nullptr) {
-    co_return Status::StaleView("volume unknown");
+  auto set = ReplicaSet::Of(topo_, meta.lvid, meta.extents);
+  if (!set.ok()) {
+    co_return set.status();
   }
-  // Copy what the reads need out of the topology now: a TopologyPush handled
-  // while a read below is suspended reassigns topo_, dangling lv (and any pv
-  // pointer held across an await).
-  const std::vector<cluster::PvId> order = lv->replicas;
-  const uint32_t block_size = lv->block_size;
-  std::vector<DamagedReplica> damaged;
+  std::vector<Replica> damaged;
   // The lease lets a get read from any one of the n data servers (§5.1).
-  const size_t start = rng_.Uniform(order.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    const cluster::PhysicalVolume* pv = topo_.FindPv(order[(start + i) % order.size()]);
-    if (pv == nullptr || !pv->healthy) {
+  // Each attempt looks its PV up in the live map, so a push that lands while
+  // an earlier attempt is suspended (e.g. one marking a PV unhealthy) steers
+  // the attempts after it.
+  const size_t start = rng_.Uniform(set->size());
+  for (size_t i = 0; i < set->size(); ++i) {
+    const Replica pv = ReplicaSet::Lookup(topo_, (*set)[(start + i) % set->size()].pv);
+    if (!pv.healthy) {
       continue;
     }
-    DataReadRequest read;
-    read.device = pv->DeviceName();
-    read.disk_index = pv->disk_index;
-    read.block_size = block_size;
-    read.extents = meta.extents;
-    read.length = meta.size;
-    read.verify = verify;
-    read.expected_checksum = meta.checksum;
-    const sim::NodeId target = pv->data_server;
-    const DamagedReplica as_damaged{pv->DeviceName(), pv->disk_index, target};
-    auto r = co_await rpc_.Call(target, std::move(read), options_.rpc_timeout);
-    if (!r.ok()) {
-      if (r.status().IsTimeout()) {
-        ReportSuspect(target);
-      }
-      // A server-side verification failure or an unreadable sector is
-      // positive evidence of damage (unlike a timeout or a stale view):
-      // remember the replica for repair.
-      if (r.status().code() == ErrorCode::kCorruption ||
-          r.status().code() == ErrorCode::kIoError) {
-        counters_.corrupt_replica_reads->Add();
-        damaged.push_back(as_damaged);
-      }
-      continue;
+    auto r = co_await rpc_.Call(pv.node, set->Read(pv, meta.size, meta.checksum),
+                                options_.rpc_timeout);
+    const ReadOutcome outcome = CheckRead(r, meta.checksum, pv.node);
+    if (outcome == ReadOutcome::kDamaged) {
+      damaged.push_back(pv);
     }
-    if (verify) {
-      // Full-content mode: recompute; metadata-only mode: the device reports
-      // the checksum it stored at write time.
-      const uint32_t crc = r->content_valid ? Crc32c(r->data) : r->checksum;
-      if (crc != meta.checksum || r->checksum != meta.checksum) {
-        counters_.corrupt_replica_reads->Add();
-        damaged.push_back(as_damaged);
-        continue;  // corrupt/partial replica; try another
-      }
+    if (outcome != ReadOutcome::kOk) {
+      continue;  // try another replica
     }
-    if (verify && !damaged.empty() && options_.enable_read_repair) {
-      SpawnReadRepair(meta, block_size, std::move(damaged), r->data);
+    if (!damaged.empty() && options_.enable_read_repair) {
+      std::vector<Rewrite> writes;
+      for (const Replica& d : damaged) {
+        writes.push_back(Rewrite{d, r->data, meta.checksum});
+      }
+      SpawnReadRepair(std::move(*set), std::move(writes), counters_.read_repairs);
     }
     co_return std::move(r->data);
   }
   co_return Status::Unavailable("no data replica answered");
 }
 
+ReadOutcome ClientProxy::CheckRead(const Result<DataReadReply>& r, uint32_t expected,
+                                   sim::NodeId node) {
+  const ReadOutcome outcome = ClassifyRead(r, expected);
+  if (outcome == ReadOutcome::kSuspect) {
+    ReportSuspect(node);
+  } else if (outcome == ReadOutcome::kDamaged) {
+    counters_.corrupt_replica_reads->Add();
+  }
+  return outcome;
+}
+
 sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
   const uint32_t k = meta.ec_k;
   const uint32_t m = meta.ec_m;
-  // Everything the chunk I/O needs, copied out of the topology before the
-  // first co_await (same dangling-pointer hazard as ReadData).
-  struct ChunkTarget {
-    std::string device;
-    uint32_t disk_index = 0;
-    sim::NodeId node = sim::kInvalidNode;
-  };
-  std::vector<ChunkTarget> targets;
-  uint32_t block_size = 4096;
-  {
-    const cluster::LogicalVolume* lv = topo_.FindLv(meta.lvid);
-    if (lv == nullptr) {
-      co_return Status::StaleView("stripe volume unknown");
-    }
-    if (k == 0 || lv->replicas.size() != static_cast<size_t>(k) + m ||
-        meta.chunk_crcs.size() != lv->replicas.size()) {
-      co_return Status::Corruption("inconsistent EC stripe metadata");
-    }
-    block_size = lv->block_size;
-    for (cluster::PvId pv_id : lv->replicas) {
-      const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-      if (pv == nullptr) {
-        co_return Status::StaleView("stripe member volume unknown");
-      }
-      targets.push_back(ChunkTarget{pv->DeviceName(), pv->disk_index, pv->data_server});
-    }
+  auto set = ReplicaSet::Of(topo_, meta.lvid, meta.extents);
+  if (!set.ok()) {
+    co_return set.status();
+  }
+  if (k == 0 || set->size() != static_cast<size_t>(k) + m ||
+      meta.chunk_crcs.size() != set->size()) {
+    co_return Status::Corruption("inconsistent EC stripe metadata");
+  }
+  if (!set->complete()) {
+    co_return Status::StaleView("stripe member volume unknown");
   }
   const uint64_t shard_bytes = tier::ShardBytes(meta.size, k);
 
   struct StripeState {
     std::vector<std::optional<std::string>> chunks;  // verified survivors
     std::vector<char> damaged;  // positive evidence of damage, per chunk
+    // Files chunk j's read; true when its verified bytes were kept.
+    bool Take(size_t j, ReadOutcome outcome, Result<DataReadReply>& r) {
+      damaged[j] = outcome == ReadOutcome::kDamaged;
+      if (outcome != ReadOutcome::kOk) {
+        return false;
+      }
+      chunks[j] = std::move(r->data);
+      return true;
+    }
   };
   auto st = std::make_shared<StripeState>();
-  st->chunks.resize(targets.size());
-  st->damaged.assign(targets.size(), 0);
+  st->chunks.resize(set->size());
+  st->damaged.assign(set->size(), 0);
 
   // Fast path: the k data chunks in parallel. The code is systematic, so
   // their concatenation (minus padding) is the object — no decode needed.
   std::vector<sim::Task<>> reads;
   for (uint32_t j = 0; j < k; ++j) {
-    reads.push_back([](ClientProxy* self, ChunkTarget t, size_t j,
-                       uint32_t block_size, std::vector<alloc::Extent> extents,
-                       uint64_t shard_bytes, uint32_t crc,
+    reads.push_back([](ClientProxy* self, size_t j, sim::NodeId node, DataReadRequest read,
                        std::shared_ptr<StripeState> st) -> sim::Task<> {
-      DataReadRequest read;
-      read.device = t.device;
-      read.disk_index = t.disk_index;
-      read.block_size = block_size;
-      read.extents = std::move(extents);
-      read.length = shard_bytes;
-      read.verify = true;
-      read.expected_checksum = crc;
-      auto r = co_await self->rpc_.Call(t.node, std::move(read), self->options_.rpc_timeout);
-      if (!r.ok()) {
-        if (r.status().IsTimeout()) {
-          self->ReportSuspect(t.node);
-        }
-        if (r.status().code() == ErrorCode::kCorruption ||
-            r.status().code() == ErrorCode::kIoError) {
-          self->counters_.corrupt_replica_reads->Add();
-          st->damaged[j] = 1;
-        }
-        co_return;
-      }
-      const uint32_t got = r->content_valid ? Crc32c(r->data) : r->checksum;
-      if (got != crc) {
-        self->counters_.corrupt_replica_reads->Add();
-        st->damaged[j] = 1;
-        co_return;
-      }
-      st->chunks[j] = std::move(r->data);
-    }(this, targets[j], j, block_size, meta.extents, shard_bytes,
-      meta.chunk_crcs[j], st));
+      const uint32_t crc = read.expected_checksum;
+      auto r = co_await self->rpc_.Call(node, std::move(read), self->options_.rpc_timeout);
+      st->Take(j, self->CheckRead(r, crc, node), r);
+    }(this, j, (*set)[j].node, set->Read((*set)[j], shard_bytes, meta.chunk_crcs[j]), st));
   }
   co_await sim::WhenAllVoid(std::move(reads));
 
@@ -639,35 +580,11 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
   // Degraded: pull parity chunks until any k survive, then decode. Parity is
   // fetched one at a time — the fast path already has most of the stripe, and
   // the sequential tail keeps parity traffic off healthy gets entirely.
-  for (size_t j = k; j < targets.size() && have < k; ++j) {
-    DataReadRequest read;
-    read.device = targets[j].device;
-    read.disk_index = targets[j].disk_index;
-    read.block_size = block_size;
-    read.extents = meta.extents;
-    read.length = shard_bytes;
-    read.verify = true;
-    read.expected_checksum = meta.chunk_crcs[j];
-    auto r = co_await rpc_.Call(targets[j].node, std::move(read), options_.rpc_timeout);
-    if (!r.ok()) {
-      if (r.status().IsTimeout()) {
-        ReportSuspect(targets[j].node);
-      }
-      if (r.status().code() == ErrorCode::kCorruption ||
-          r.status().code() == ErrorCode::kIoError) {
-        counters_.corrupt_replica_reads->Add();
-        st->damaged[j] = 1;
-      }
-      continue;
-    }
-    const uint32_t got = r->content_valid ? Crc32c(r->data) : r->checksum;
-    if (got != meta.chunk_crcs[j]) {
-      counters_.corrupt_replica_reads->Add();
-      st->damaged[j] = 1;
-      continue;
-    }
-    st->chunks[j] = std::move(r->data);
-    ++have;
+  for (size_t j = k; j < set->size() && have < k; ++j) {
+    const Replica& chunk = (*set)[j];
+    auto r = co_await rpc_.Call(chunk.node, set->Read(chunk, shard_bytes, meta.chunk_crcs[j]),
+                                options_.rpc_timeout);
+    have += st->Take(j, CheckRead(r, meta.chunk_crcs[j], chunk.node), r) ? 1 : 0;
   }
   if (have < static_cast<size_t>(k)) {
     co_return Status::Unavailable("stripe lost more than m chunks");
@@ -679,70 +596,36 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
   counters_.ec_degraded_reads->Add();
 
   if (options_.enable_read_repair) {
-    // Fire-and-forget reconstruction repair of the positively-damaged chunks
-    // (maintenance class, same rationale as SpawnReadRepair). A rebuilt chunk
-    // is written back only if its bytes match the CRC recorded in MetaX — a
-    // reconstruction racing a demotion swap can never plant garbage.
-    rpc_.machine().actor().Spawn([](ClientProxy* self, ObMeta meta,
-                                    uint32_t block_size,
-                                    std::vector<ChunkTarget> targets,
-                                    std::shared_ptr<StripeState> st) -> sim::Task<> {
-      auto rebuilt = tier::ReconstructChunks(st->chunks, meta.ec_k, meta.ec_m);
-      if (!rebuilt.ok()) {
-        co_return;
+    // Read-repair of the positively-damaged chunks, rebuilt from the
+    // survivors. A rebuilt chunk is written back only if its bytes match the
+    // CRC recorded in MetaX — a reconstruction racing a demotion swap can
+    // never plant garbage.
+    std::vector<Rewrite> writes;
+    auto rebuilt = tier::ReconstructChunks(st->chunks, k, m);
+    for (size_t j = 0; rebuilt.ok() && j < set->size(); ++j) {
+      if (st->damaged[j] && Crc32c((*rebuilt)[j]) == meta.chunk_crcs[j]) {
+        writes.push_back(Rewrite{(*set)[j], std::move((*rebuilt)[j]), meta.chunk_crcs[j]});
       }
-      for (size_t j = 0; j < targets.size(); ++j) {
-        if (!st->damaged[j] || Crc32c((*rebuilt)[j]) != meta.chunk_crcs[j]) {
-          continue;
-        }
-        RepairWriteRequest write;
-        write.view = self->topo_.view;
-        write.device = targets[j].device;
-        write.disk_index = targets[j].disk_index;
-        write.block_size = block_size;
-        write.extents = meta.extents;
-        write.data = (*rebuilt)[j];
-        write.checksum = meta.chunk_crcs[j];
-        auto w = co_await self->rpc_.Call(targets[j].node, std::move(write),
-                                          self->options_.rpc_timeout);
-        if (w.ok()) {
-          self->counters_.ec_chunk_repairs->Add();
-        }
-      }
-    }(this, meta, block_size, std::move(targets), st));
+    }
+    SpawnReadRepair(std::move(*set), std::move(writes), counters_.ec_chunk_repairs);
   }
   co_return std::move(*decoded);
 }
 
-void ClientProxy::SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
-                                  std::vector<DamagedReplica> damaged, std::string data) {
+void ClientProxy::SpawnReadRepair(ReplicaSet set, std::vector<Rewrite> writes,
+                                  obs::Counter* repaired) {
   // Fire-and-forget on the proxy's actor: the get that discovered the damage
-  // has already returned by the time these writes land. Everything the task
-  // needs is copied in — a concurrent delete or topology push can't dangle
-  // it. Writing to a deleted object's old extents is benign: visibility is
-  // governed by MetaX, and the blocks are either unallocated (the write is
-  // superseded by the next put to reuse them, which lands later than this
-  // repair in virtual time or overwrites it) or already reused (the repair
-  // write is itself overwritten; scrub re-heals if it races in between).
-  rpc_.machine().actor().Spawn([](ClientProxy* self, ObMeta meta, uint32_t block_size,
-                                  std::vector<DamagedReplica> damaged,
-                                  std::string data) -> sim::Task<> {
-    for (const DamagedReplica& d : damaged) {
-      RepairWriteRequest write;
-      write.view = self->topo_.view;
-      write.device = d.device;
-      write.disk_index = d.disk_index;
-      write.block_size = block_size;
-      write.extents = meta.extents;
-      write.data = data;
-      write.checksum = meta.checksum;
-      auto w = co_await self->rpc_.Call(d.data_server, std::move(write),
-                                        self->options_.rpc_timeout);
-      if (w.ok()) {
-        self->counters_.read_repairs->Add();
-      }
-    }
-  }(this, meta, block_size, std::move(damaged), std::move(data)));
+  // has already returned by the time these writes land. Writing to a deleted
+  // object's old extents is benign: visibility is governed by MetaX, and the
+  // blocks are either unallocated (the write is superseded by the next put to
+  // reuse them, which lands later than this repair in virtual time or
+  // overwrites it) or already reused (the repair write is itself
+  // overwritten; scrub re-heals if it races in between).
+  rpc_.machine().actor().Spawn([](ClientProxy* self, ReplicaSet set, std::vector<Rewrite> writes,
+                                  obs::Counter* repaired) -> sim::Task<> {
+    co_await RepairReplicas(self->rpc_, set, std::move(writes), self->options_.rpc_timeout,
+                            RepairCounters{repaired});
+  }(this, std::move(set), std::move(writes), repaired));
 }
 
 // ---- delete ----

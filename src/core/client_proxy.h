@@ -23,6 +23,7 @@
 #include "src/common/random.h"
 #include "src/core/messages.h"
 #include "src/core/options.h"
+#include "src/core/replica_set.h"
 #include "src/obs/metrics.h"
 #include "src/qos/aimd.h"
 #include "src/rpc/node.h"
@@ -123,27 +124,21 @@ class ClientProxy {
   // One full put attempt; the caller loops on retryable failures.
   sim::Task<Status> PutAttempt(const std::string& name, const std::string& data,
                                uint32_t checksum, ReqId reqid, bool re_meta, bool re_data);
-  sim::Task<Status> WriteDataReplicas(const cluster::LogicalVolume& lv,
-                                      const std::vector<alloc::Extent>& extents,
-                                      const std::string& data, uint32_t checksum);
-  sim::Task<Result<std::string>> ReadData(const ObMeta& meta, bool verify);
+  sim::Task<Status> WriteDataReplicas(const ReplicaSet& set, const std::string& data,
+                                      uint32_t checksum);
+  // Verified read of the object's bytes, from whichever placement holds them.
+  sim::Task<Result<std::string>> ReadData(const ObMeta& meta);
   // EC stripe read: verified reads of the k data chunks (systematic layout);
   // on damage, pulls parity and reconstructs from any k of k+m. Degraded
   // successes fire-and-forget a rewrite of the damaged chunks.
   sim::Task<Result<std::string>> ReadEcData(const ObMeta& meta);
+  // ClassifyRead plus its side effects: a timed-out server is reported as
+  // suspect, and damage is counted.
+  ReadOutcome CheckRead(const Result<DataReadReply>& r, uint32_t expected, sim::NodeId node);
 
-  // A replica that positively failed verification (server-side kCorruption /
-  // kIoError or client-side checksum mismatch) — everything a repair write
-  // needs, copied out of the topology.
-  struct DamagedReplica {
-    std::string device;
-    uint32_t disk_index = 0;
-    sim::NodeId data_server = sim::kInvalidNode;
-  };
   // Fire-and-forget maintenance-class rewrite of damaged replicas from the
-  // verified payload the get just returned.
-  void SpawnReadRepair(const ObMeta& meta, uint32_t block_size,
-                       std::vector<DamagedReplica> damaged, std::string data);
+  // verified bytes a get just returned; `repaired` counts the writes that land.
+  void SpawnReadRepair(ReplicaSet set, std::vector<Rewrite> writes, obs::Counter* repaired);
 
   sim::Task<Result<MetaPersistedAck>> HandlePersisted(sim::NodeId src,
                                                       MetaPersistedNotify req);

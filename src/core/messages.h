@@ -176,19 +176,26 @@ struct PgPullRequest {
 
 // ---- proxy/meta -> data server ----
 
+// What every data-plane request names: one physical volume (its device on
+// the data server's disk) and the object's extents on it. ReplicaSet
+// (src/core/replica_set.h) fills these from a topology snapshot.
+struct DataTarget {
+  DataTarget() = default;
+  std::string device;      // physical volume device name
+  uint32_t disk_index = 0;
+  uint32_t block_size = 4096;
+  std::vector<alloc::Extent> extents;
+};
+
 struct DataWriteReply {
   DataWriteReply() = default;
   uint32_t checksum = 0;  // whole-object checksum as stored
   size_t wire_size() const { return 16; }
 };
-struct DataWriteRequest {
+struct DataWriteRequest : DataTarget {
   using Response = DataWriteReply;
   DataWriteRequest() = default;
   uint64_t view = 0;
-  std::string device;      // physical volume device name
-  uint32_t disk_index = 0;
-  uint32_t block_size = 4096;
-  std::vector<alloc::Extent> extents;
   std::string data;
   uint32_t checksum = 0;   // whole-object checksum
   size_t wire_size() const { return 64 + device.size() + data.size(); }
@@ -204,13 +211,9 @@ struct DataReadReply {
   bool content_valid = true;
   size_t wire_size() const { return 24 + data.size(); }
 };
-struct DataReadRequest {
+struct DataReadRequest : DataTarget {
   using Response = DataReadReply;
   DataReadRequest() = default;
-  std::string device;
-  uint32_t disk_index = 0;
-  uint32_t block_size = 4096;
-  std::vector<alloc::Extent> extents;
   uint64_t length = 0;  // object size (may be < extent bytes)
   // Verified read: the server compares every extent's stored checksum (and,
   // in full-content mode, the recomputed payload CRC) against
@@ -246,13 +249,9 @@ struct DataProbeReply {
   uint32_t checksum = 0;
   size_t wire_size() const { return 16; }
 };
-struct DataProbeRequest {
+struct DataProbeRequest : DataTarget {
   using Response = DataProbeReply;
   DataProbeRequest() = default;
-  std::string device;
-  uint32_t disk_index = 0;
-  uint32_t block_size = 4096;
-  std::vector<alloc::Extent> extents;
   uint32_t expected_checksum = 0;
   size_t wire_size() const { return 48 + device.size() + extents.size() * 16; }
 };
@@ -263,13 +262,9 @@ struct DataDiscardReply {
   DataDiscardReply() = default;
   size_t wire_size() const { return 8; }
 };
-struct DataDiscardRequest {
+struct DataDiscardRequest : DataTarget {
   using Response = DataDiscardReply;
   DataDiscardRequest() = default;
-  std::string device;
-  uint32_t disk_index = 0;
-  uint32_t block_size = 4096;
-  std::vector<alloc::Extent> extents;
   size_t wire_size() const { return 40 + device.size() + extents.size() * 16; }
 };
 

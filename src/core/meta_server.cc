@@ -7,6 +7,7 @@
 #include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/core/pg_transfer.h"
+#include "src/core/replica_set.h"
 #include "src/core/scrubber.h"
 #include "src/qos/qos.h"
 #include "src/sim/actor.h"
@@ -580,84 +581,35 @@ sim::Task<Status> MetaServer::VerifyPending(ReqId reqid) {
     counters_.completed_puts->Add();
     co_return Status::Ok();
   }
-  // Snapshot every topology-derived field before the first co_await: a
-  // topology push move-assigns topo_ while this coroutine is suspended,
-  // invalidating any LogicalVolume/PhysicalVolume pointer held across it.
-  struct ProbeTarget {
-    std::string device;
-    uint32_t disk_index = 0;
-    sim::NodeId data_server = sim::kInvalidNode;
-  };
-  uint32_t block_size = 0;
-  std::vector<ProbeTarget> targets;
-  {
-    const cluster::LogicalVolume* lv = topo_.FindLv(p.meta.lvid);
-    if (lv == nullptr) {
-      co_return Status::Unavailable("volume missing during verify");
-    }
-    block_size = lv->block_size;
-    for (cluster::PvId pv_id : lv->replicas) {
-      const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-      if (pv == nullptr) {
-        continue;
-      }
-      targets.push_back({pv->DeviceName(), pv->disk_index, pv->data_server});
-    }
+  auto set = ReplicaSet::Of(topo_, p.meta.lvid, p.meta.extents);
+  if (!set.ok()) {
+    co_return Status::Unavailable("volume missing during verify");
   }
-  int present = 0;
-  int definitive = 0;
-  std::vector<const ProbeTarget*> missing;
-  const ProbeTarget* good = nullptr;
-  for (const ProbeTarget& t : targets) {
-    DataProbeRequest probe;
-    probe.device = t.device;
-    probe.disk_index = t.disk_index;
-    probe.block_size = block_size;
-    probe.extents = p.meta.extents;
-    probe.expected_checksum = p.meta.checksum;
-    auto r = co_await rpc_.Call(t.data_server, std::move(probe), options_.rpc_timeout);
-    if (!r.ok()) {
-      continue;  // indeterminate
-    }
-    ++definitive;
-    if (r->present) {
-      ++present;
-      good = &t;
-    } else {
-      missing.push_back(&t);
-    }
-  }
-  if (definitive == 0) {
+  const ProbeTally probed = co_await ProbeReplicas(
+      rpc_, *set, std::vector<uint32_t>(set->size(), p.meta.checksum),
+      /*healthy_only=*/false, options_.rpc_timeout, nullptr, nullptr);
+  if (probed.present.empty() && probed.absent.empty()) {
     LOG_DEBUG << "verify " << p.name << ": no definitive probe";
     co_return Status::Unavailable("data servers unreachable during verify");
   }
-  if (present == 0) {
+  if (probed.present.empty()) {
     // The data never landed anywhere: the put is unfinished — revoke (§5.3).
     co_await RevokePut(std::move(p));
     co_return Status::NotFound("put revoked");
   }
-  if (!missing.empty() && good != nullptr) {
+  if (!probed.absent.empty()) {
     // Partially replicated: complete the put by copying from a good replica.
-    DataReadRequest read;
-    read.device = good->device;
-    read.disk_index = good->disk_index;
-    read.block_size = block_size;
-    read.extents = p.meta.extents;
-    read.length = p.meta.size;
-    auto data = co_await rpc_.Call(good->data_server, std::move(read), options_.rpc_timeout);
+    const Replica& good = (*set)[probed.present.back()];
+    auto data = co_await rpc_.Call(good.node, set->Read(good, p.meta.size),
+                                   options_.rpc_timeout);
     if (!data.ok()) {
       co_return Status::Unavailable("repair read failed");
     }
-    for (const ProbeTarget* t : missing) {
-      DataWriteRequest write;
-      write.view = topo_.view;
-      write.device = t->device;
-      write.disk_index = t->disk_index;
-      write.block_size = block_size;
-      write.extents = p.meta.extents;
-      write.data = data->data;
-      write.checksum = p.meta.checksum;
-      auto w = co_await rpc_.Call(t->data_server, std::move(write), options_.rpc_timeout);
+    for (size_t i : probed.absent) {
+      const Replica& missing = (*set)[i];
+      auto w = co_await rpc_.Call(missing.node,
+                                  set->Write(missing, data->data, p.meta.checksum),
+                                  options_.rpc_timeout);
       if (!w.ok()) {
         co_return Status::Unavailable("repair write failed");
       }
@@ -692,21 +644,14 @@ sim::Task<> MetaServer::RevokePut(PendingPut p) {
 }
 
 sim::Task<> MetaServer::DiscardData(const ObMeta& meta) {
-  const cluster::LogicalVolume* lv = topo_.FindLv(meta.lvid);
-  if (lv == nullptr) {
+  auto set = ReplicaSet::Of(topo_, meta.lvid, meta.extents);
+  if (!set.ok()) {
     co_return;
   }
-  for (cluster::PvId pv_id : lv->replicas) {
-    const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-    if (pv == nullptr) {
-      continue;
+  for (const Replica& r : *set) {
+    if (r.known()) {
+      rpc_.Notify(r.node, set->Discard(r));
     }
-    DataDiscardRequest req;
-    req.device = pv->DeviceName();
-    req.disk_index = pv->disk_index;
-    req.block_size = lv->block_size;
-    req.extents = meta.extents;
-    rpc_.Notify(pv->data_server, std::move(req));
   }
 }
 
@@ -924,6 +869,11 @@ sim::Task<> MetaServer::AdoptTopology(cluster::TopologyMap next) {
     LOG_INFO << "meta " << rpc_.id() << ": adopting view " << topo_.view;
 
     const std::set<cluster::PgId> previously_ready = std::exchange(ready_pgs_, {});
+    // Cheetah-NoVG: a data migration pass of the older view may be mid-move;
+    // once it settles the records below say where every object's bytes are.
+    while (migration_passes_ > 0) {
+      co_await sim::SleepFor(Millis(1));
+    }
     // A node that skipped intermediate views (partitioned away while the
     // cluster moved on without it) cannot trust its local PG state: writes
     // were acknowledged by views it never saw, so it re-pulls every PG.
@@ -1077,19 +1027,24 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
   // Cheetah-NoVG: objects whose volume fell out of the PG's (hash-derived)
   // volume set must be copied to a volume the new mapping owns (Fig. 14's
   // migration traffic).
+  //
+  // A move commits only under the view its pass started in. A newer view
+  // hands the volumes to a new mapping, whose owners rebuilt their
+  // allocators without this move's extents and may already have pulled the
+  // old record. So a superseded move publishes nothing, and the old copy is
+  // discarded only after the new record landed everywhere under that view.
+  // Adoption of the next view waits for the move in flight to settle before
+  // it rebuilds allocators from the records.
   const uint64_t adopted_view = topo_.view;
+  auto superseded = [&] { return topo_.view != adopted_view || !IsPrimary(pg); };
+  ++migration_passes_;
   std::vector<cluster::LvId> vg = EffectiveVg(pg);
   auto in_vg = [&vg](cluster::LvId lv) {
     return std::find(vg.begin(), vg.end(), lv) != vg.end();
   };
   auto rows = co_await db_->Scan(ObMetaPrefix(pg), 0);
-  if (!rows.ok()) {
-    co_return;
-  }
-  for (const auto& [key, value] : *rows) {
-    if (topo_.view != adopted_view || !IsPrimary(pg)) {
-      co_return;  // superseded
-    }
+  for (size_t row = 0; rows.ok() && row < rows->size() && !superseded(); ++row) {
+    const auto& [key, value] = (*rows)[row];
     cluster::PgId key_pg = 0;
     std::string name;
     if (ParseObMetaKey(key, &key_pg, &name) && pending_names_.contains(name)) {
@@ -1099,24 +1054,15 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
     if (!meta.ok() || in_vg(meta->lvid)) {
       continue;
     }
-    const cluster::LogicalVolume* old_lv = topo_.FindLv(meta->lvid);
-    if (old_lv == nullptr) {
+    // Read from the old location's first replica.
+    auto old_set = ReplicaSet::Of(topo_, meta->lvid, meta->extents);
+    if (!old_set.ok() || old_set->size() == 0 || !(*old_set)[0].known()) {
       continue;
     }
-    const cluster::PhysicalVolume* source = topo_.FindPv(old_lv->replicas.front());
-    if (source == nullptr) {
-      continue;
-    }
-    // Read from the old location.
-    DataReadRequest read;
-    read.device = source->DeviceName();
-    read.disk_index = source->disk_index;
-    read.block_size = old_lv->block_size;
-    read.extents = meta->extents;
-    read.length = meta->size;
-    auto data = co_await rpc_.Call(source->data_server, std::move(read),
+    auto data = co_await rpc_.Call((*old_set)[0].node,
+                                   old_set->Read((*old_set)[0], meta->size),
                                    options_.rpc_timeout);
-    if (!data.ok()) {
+    if (!data.ok() || superseded()) {
       continue;
     }
     // Allocate at the new location and write all replicas.
@@ -1124,24 +1070,17 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
     if (!alloc.ok()) {
       continue;
     }
-    const cluster::LogicalVolume* new_lv = topo_.FindLv(alloc->first);
-    bool wrote_all = true;
-    for (cluster::PvId pv_id : new_lv->replicas) {
-      const cluster::PhysicalVolume* pv = topo_.FindPv(pv_id);
-      if (pv == nullptr) {
-        wrote_all = false;
-        break;
+    auto new_set = ReplicaSet::Of(topo_, alloc->first, alloc->second);
+    bool wrote_all = new_set.ok() && new_set->complete();
+    if (wrote_all) {
+      for (const Replica& r : *new_set) {
+        auto w = co_await rpc_.Call(r.node, new_set->Write(r, data->data, meta->checksum),
+                                    options_.rpc_timeout);
+        wrote_all &= w.ok();
       }
-      DataWriteRequest write;
-      write.view = topo_.view;
-      write.device = pv->DeviceName();
-      write.disk_index = pv->disk_index;
-      write.block_size = new_lv->block_size;
-      write.extents = alloc->second;
-      write.data = data->data;
-      write.checksum = meta->checksum;
-      auto w = co_await rpc_.Call(pv->data_server, std::move(write), options_.rpc_timeout);
-      wrote_all &= w.ok();
+    }
+    if (superseded()) {
+      break;  // the new extents are the next mapping's to allocate
     }
     if (!wrote_all) {
       if (alloc::BitmapAllocator* a = AllocatorFor(alloc->first)) {
@@ -1155,10 +1094,19 @@ sim::Task<> MetaServer::MigratePgData(cluster::PgId pg) {
     updated.extents = std::move(alloc->second);
     std::vector<std::pair<std::string, std::string>> puts;
     puts.emplace_back(key, updated.Encode());
-    (void)co_await PersistAndReplicate(pg, std::move(puts), {});
+    Status persisted = co_await PersistAndReplicate(pg, std::move(puts), {});
+    if (!persisted.ok() || superseded()) {
+      // The new record may have landed here or on some replicas only. Put the
+      // old one back and keep the old copy, which every mapping accounts for.
+      std::vector<std::pair<std::string, std::string>> undo;
+      undo.emplace_back(key, value);
+      (void)co_await PersistAndReplicate(pg, std::move(undo), {});
+      continue;
+    }
     co_await DiscardData(old_meta);
     counters_.migrated_objects->Add();
   }
+  --migration_passes_;
 }
 
 // ---- background loops ----

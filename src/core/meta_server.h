@@ -185,6 +185,8 @@ class MetaServer {
   // Names mid-demotion-swap (src/tier): puts and deletes answer kUnavailable
   // while a name is here, for the single persist round the swap takes.
   std::set<std::string> tiering_names_;
+  // Cheetah-NoVG data migration passes running (MigratePgData).
+  int migration_passes_ = 0;
   // Last get time per object name, feeding the demotion recency policy.
   std::map<std::string, Nanos> last_access_;
 

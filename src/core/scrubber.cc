@@ -8,6 +8,7 @@
 #include "src/core/meta_server.h"
 #include "src/core/messages.h"
 #include "src/core/metax.h"
+#include "src/core/replica_set.h"
 #include "src/sim/sync.h"
 #include "src/tier/striper.h"
 
@@ -81,92 +82,36 @@ sim::Task<> Scrubber::ScrubPg(cluster::PgId pg) {
       co_await ScrubEcObject(std::move(*meta));
       continue;
     }
-    // Copy every topology-derived target before the first co_await: a
-    // topology push reassigns topo_ mid-suspension, freeing the LogicalVolume
-    // and PhysicalVolume records any held pointer would dangle into.
-    struct Target {
-      std::string device;
-      uint32_t disk_index = 0;
-      sim::NodeId node = sim::kInvalidNode;
-    };
-    std::vector<Target> replicas;
-    uint32_t block_size = 4096;
-    {
-      const cluster::LogicalVolume* lv = ms_.topo_.FindLv(meta->lvid);
-      if (lv == nullptr) {
-        continue;
-      }
-      block_size = lv->block_size;
-      for (cluster::PvId pv_id : lv->replicas) {
-        const cluster::PhysicalVolume* pv = ms_.topo_.FindPv(pv_id);
-        if (pv == nullptr || !pv->healthy) {
-          continue;
-        }
-        replicas.push_back(Target{pv->DeviceName(), pv->disk_index, pv->data_server});
-      }
+    auto set = ReplicaSet::Of(ms_.topo_, meta->lvid, meta->extents);
+    if (!set.ok()) {
+      continue;
     }
-    const Target* good = nullptr;
-    std::vector<const Target*> bad;
-    for (const Target& pv : replicas) {
-      DataProbeRequest probe;
-      probe.device = pv.device;
-      probe.disk_index = pv.disk_index;
-      probe.block_size = block_size;
-      probe.extents = meta->extents;
-      probe.expected_checksum = meta->checksum;
-      auto r = co_await rpc_.Call(pv.node, std::move(probe),
-                                  options_.rpc_timeout);
-      if (!r.ok()) {
-        counters_.probe_errors->Add();
-        continue;  // indeterminate; next scrub retries
-      }
-      if (r->present) {
-        good = &pv;
-      } else {
-        counters_.corrupt_found->Add();
-        bad.push_back(&pv);
-      }
-    }
+    const ProbeTally probed = co_await ProbeReplicas(
+        rpc_, *set, std::vector<uint32_t>(set->size(), meta->checksum),
+        /*healthy_only=*/true, options_.rpc_timeout, counters_.probe_errors,
+        counters_.corrupt_found);
     counters_.objects->Add();
-    if (bad.empty() || good == nullptr) {
+    if (probed.absent.empty() || probed.present.empty()) {
       continue;
     }
     // Repair: copy the healthy replica over the divergent ones. The source
     // read is verified against MetaX so a race (probe passed, then the
     // source rotted) can never propagate a damaged payload.
-    RepairReadRequest read;
-    read.device = good->device;
-    read.disk_index = good->disk_index;
-    read.block_size = block_size;
-    read.extents = meta->extents;
-    read.length = meta->size;
-    read.verify = true;
-    read.expected_checksum = meta->checksum;
-    auto data = co_await rpc_.Call(good->node, std::move(read),
-                                   options_.rpc_timeout);
+    const Replica& good = (*set)[probed.present.back()];
+    auto data = co_await rpc_.Call(
+        good.node, set->Read<RepairReadRequest>(good, meta->size, meta->checksum),
+        options_.rpc_timeout);
     if (!data.ok()) {
       counters_.repair_failures->Add();
       continue;
     }
-    for (const Target* pv : bad) {
-      RepairWriteRequest write;
-      write.view = ms_.topo_.view;
-      write.device = pv->device;
-      write.disk_index = pv->disk_index;
-      write.block_size = block_size;
-      write.extents = meta->extents;
-      write.data = data->data;
-      write.checksum = meta->checksum;
-      const uint64_t repaired_bytes = write.data.size();
-      auto w = co_await rpc_.Call(pv->node, std::move(write),
-                                  options_.rpc_timeout);
-      if (w.ok()) {
-        counters_.repairs->Add();
-        counters_.bytes_repaired->Add(repaired_bytes);
-      } else {
-        counters_.repair_failures->Add();
-      }
+    std::vector<Rewrite> writes;
+    for (size_t i : probed.absent) {
+      writes.push_back(Rewrite{(*set)[i], data->data, meta->checksum});
     }
+    co_await RepairReplicas(
+        rpc_, *set, std::move(writes), options_.rpc_timeout,
+        RepairCounters{counters_.repairs, counters_.bytes_repaired, counters_.repair_failures});
   }
 }
 
@@ -174,76 +119,37 @@ sim::Task<> Scrubber::ScrubEcObject(ObMeta meta) {
   // Audit each stripe chunk against its recorded CRC32C, then rebuild any
   // damaged chunk from k verified survivors. Same detection rules as the
   // replica path: a checksum mismatch and an I/O error both count as damage.
-  struct Target {
-    std::string device;
-    uint32_t disk_index = 0;
-    sim::NodeId node = sim::kInvalidNode;
-  };
-  std::vector<Target> targets;
-  uint32_t block_size = 4096;
-  {
-    const cluster::LogicalVolume* lv = ms_.topo_.FindLv(meta.lvid);
-    if (lv == nullptr || meta.ec_k == 0 ||
-        meta.chunk_crcs.size() != lv->replicas.size()) {
-      co_return;
-    }
-    block_size = lv->block_size;
-    for (cluster::PvId pv_id : lv->replicas) {
-      const cluster::PhysicalVolume* pv = ms_.topo_.FindPv(pv_id);
-      if (pv == nullptr) {
-        co_return;
-      }
-      targets.push_back(Target{pv->DeviceName(), pv->disk_index, pv->data_server});
-    }
+  auto set = ReplicaSet::Of(ms_.topo_, meta.lvid, meta.extents);
+  if (!set.ok() || meta.ec_k == 0 || meta.chunk_crcs.size() != set->size() ||
+      !set->complete()) {
+    co_return;
   }
   const uint32_t k = meta.ec_k;
   const uint32_t total = k + meta.ec_m;
   const uint64_t shard_bytes = (meta.size + k - 1) / k;
-  std::vector<size_t> good;
-  std::vector<size_t> bad;
-  for (size_t j = 0; j < targets.size(); ++j) {
-    DataProbeRequest probe;
-    probe.device = targets[j].device;
-    probe.disk_index = targets[j].disk_index;
-    probe.block_size = block_size;
-    probe.extents = meta.extents;
-    probe.expected_checksum = meta.chunk_crcs[j];
-    auto r = co_await rpc_.Call(targets[j].node, std::move(probe), options_.rpc_timeout);
-    if (!r.ok()) {
-      counters_.probe_errors->Add();
-      continue;  // indeterminate; next scrub retries
-    }
-    if (r->present) {
-      good.push_back(j);
-    } else {
-      counters_.corrupt_found->Add();
-      bad.push_back(j);
-    }
-  }
+  const ProbeTally probed =
+      co_await ProbeReplicas(rpc_, *set, meta.chunk_crcs, /*healthy_only=*/false,
+                             options_.rpc_timeout, counters_.probe_errors,
+                             counters_.corrupt_found);
   counters_.objects->Add();
-  if (bad.empty()) {
+  if (probed.absent.empty()) {
     co_return;
   }
-  if (good.size() < k) {
+  if (probed.present.size() < k) {
     counters_.repair_failures->Add();  // beyond m losses; nothing to rebuild from
     co_return;
   }
   // Verified reads of k surviving chunks, then Reed-Solomon reconstruction.
   std::vector<std::optional<std::string>> chunks(total);
   uint32_t have = 0;
-  for (size_t j : good) {
+  for (size_t j : probed.present) {
     if (have == k) {
       break;
     }
-    RepairReadRequest read;
-    read.device = targets[j].device;
-    read.disk_index = targets[j].disk_index;
-    read.block_size = block_size;
-    read.extents = meta.extents;
-    read.length = shard_bytes;
-    read.verify = true;
-    read.expected_checksum = meta.chunk_crcs[j];
-    auto r = co_await rpc_.Call(targets[j].node, std::move(read), options_.rpc_timeout);
+    auto r = co_await rpc_.Call(
+        (*set)[j].node,
+        set->Read<RepairReadRequest>((*set)[j], shard_bytes, meta.chunk_crcs[j]),
+        options_.rpc_timeout);
     if (r.ok() && r->content_valid) {
       chunks[j] = std::move(r->data);
       ++have;
@@ -258,30 +164,19 @@ sim::Task<> Scrubber::ScrubEcObject(ObMeta meta) {
     counters_.repair_failures->Add();
     co_return;
   }
-  for (size_t j : bad) {
+  std::vector<Rewrite> writes;
+  for (size_t j : probed.absent) {
     // Only write back a chunk whose rebuilt bytes match the recorded CRC — a
     // reconstruction from a racing state must never overwrite with garbage.
     if (Crc32c((*rebuilt)[j]) != meta.chunk_crcs[j]) {
       counters_.repair_failures->Add();
       continue;
     }
-    RepairWriteRequest write;
-    write.view = ms_.topo_.view;
-    write.device = targets[j].device;
-    write.disk_index = targets[j].disk_index;
-    write.block_size = block_size;
-    write.extents = meta.extents;
-    write.data = (*rebuilt)[j];
-    write.checksum = meta.chunk_crcs[j];
-    const uint64_t repaired_bytes = write.data.size();
-    auto w = co_await rpc_.Call(targets[j].node, std::move(write), options_.rpc_timeout);
-    if (w.ok()) {
-      counters_.repairs->Add();
-      counters_.bytes_repaired->Add(repaired_bytes);
-    } else {
-      counters_.repair_failures->Add();
-    }
+    writes.push_back(Rewrite{(*set)[j], std::move((*rebuilt)[j]), meta.chunk_crcs[j]});
   }
+  co_await RepairReplicas(
+      rpc_, *set, std::move(writes), options_.rpc_timeout,
+      RepairCounters{counters_.repairs, counters_.bytes_repaired, counters_.repair_failures});
 }
 
 }  // namespace cheetah::core

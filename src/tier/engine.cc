@@ -7,6 +7,7 @@
 #include "src/common/logging.h"
 #include "src/core/meta_server.h"
 #include "src/core/messages.h"
+#include "src/core/replica_set.h"
 #include "src/sim/actor.h"
 #include "src/sim/sync.h"
 #include "src/tier/policy.h"
@@ -100,43 +101,13 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   const cluster::LvId stripe_lvid = alloc->first;
   std::vector<alloc::Extent> stripe_extents = std::move(alloc->second);
 
-  // Copy every topology-derived target out before the first co_await: a
-  // TopologyPush landing mid-suspend swaps topo_ under this coroutine.
-  struct Target {
-    std::string device;
-    uint32_t disk_index = 0;
-    sim::NodeId node = sim::kInvalidNode;
-  };
-  std::vector<Target> chunk_targets;
-  std::vector<Target> source_targets;
-  uint32_t stripe_block_size = 4096;
-  uint32_t src_block_size = 4096;
-  {
-    const cluster::LogicalVolume* stripe = ms_.topo_.FindLv(stripe_lvid);
-    const cluster::LogicalVolume* src_lv = ms_.topo_.FindLv(meta.lvid);
-    if (stripe == nullptr || src_lv == nullptr ||
-        stripe->replicas.size() != static_cast<size_t>(k) + m) {
-      co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));
-      counters_.demote_failures->Add();
-      co_return;
-    }
-    stripe_block_size = stripe->block_size;
-    src_block_size = src_lv->block_size;
-    for (cluster::PvId pv_id : stripe->replicas) {
-      const cluster::PhysicalVolume* pv = ms_.topo_.FindPv(pv_id);
-      if (pv == nullptr) {
-        co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));
-        counters_.demote_failures->Add();
-        co_return;
-      }
-      chunk_targets.push_back(Target{pv->DeviceName(), pv->disk_index, pv->data_server});
-    }
-    for (cluster::PvId pv_id : src_lv->replicas) {
-      const cluster::PhysicalVolume* pv = ms_.topo_.FindPv(pv_id);
-      if (pv != nullptr && pv->healthy) {
-        source_targets.push_back(Target{pv->DeviceName(), pv->disk_index, pv->data_server});
-      }
-    }
+  auto stripe = core::ReplicaSet::Of(ms_.topo_, stripe_lvid, stripe_extents);
+  auto source = core::ReplicaSet::Of(ms_.topo_, meta.lvid, meta.extents);
+  if (!stripe.ok() || !source.ok() || stripe->size() != static_cast<size_t>(k) + m ||
+      !stripe->complete()) {
+    co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));
+    counters_.demote_failures->Add();
+    co_return;
   }
 
   // Verified source read (maintenance class): the payload is checked against
@@ -144,16 +115,13 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   // bytes that get striped.
   std::string payload;
   bool have_payload = false;
-  for (const Target& src : source_targets) {
-    core::RepairReadRequest read;
-    read.device = src.device;
-    read.disk_index = src.disk_index;
-    read.block_size = src_block_size;
-    read.extents = meta.extents;
-    read.length = meta.size;
-    read.verify = true;
-    read.expected_checksum = meta.checksum;
-    auto r = co_await rpc_.Call(src.node, std::move(read), options_.rpc_timeout);
+  for (const core::Replica& src : *source) {
+    if (!src.healthy) {
+      continue;
+    }
+    auto r = co_await rpc_.Call(
+        src.node, source->Read<core::RepairReadRequest>(src, meta.size, meta.checksum),
+        options_.rpc_timeout);
     if (r.ok() && r->content_valid) {
       payload = std::move(r->data);
       have_payload = true;
@@ -176,24 +144,14 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   // data servers can verify-reject individual chunks later. Still invisible:
   // MetaX points at the replicas until the swap below.
   std::vector<sim::Task<Status>> writes;
-  for (size_t j = 0; j < chunk_targets.size(); ++j) {
+  for (size_t j = 0; j < stripe->size(); ++j) {
     writes.push_back(
-        [](TierEngine* self, Target target, uint32_t block_size,
-           std::vector<alloc::Extent> extents, std::string chunk,
-           uint32_t crc) -> sim::Task<Status> {
-          core::RepairWriteRequest write;
-          write.view = self->ms_.topo_.view;
-          write.device = target.device;
-          write.disk_index = target.disk_index;
-          write.block_size = block_size;
-          write.extents = std::move(extents);
-          write.data = std::move(chunk);
-          write.checksum = crc;
-          auto w = co_await self->rpc_.Call(target.node, std::move(write),
-                                            self->options_.rpc_timeout);
+        [](TierEngine* self, sim::NodeId node,
+           core::RepairWriteRequest write) -> sim::Task<Status> {
+          auto w = co_await self->rpc_.Call(node, std::move(write), self->options_.rpc_timeout);
           co_return w.ok() ? Status::Ok() : w.status();
-        }(this, chunk_targets[j], stripe_block_size, stripe_extents,
-          std::move(chunks[j]), crcs[j]));
+        }(this, (*stripe)[j].node,
+          stripe->Write<core::RepairWriteRequest>((*stripe)[j], std::move(chunks[j]), crcs[j])));
   }
   auto results = co_await sim::WhenAll(std::move(writes));
   for (const Status& s : results) {
@@ -207,14 +165,8 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
   // Read-back audit: a gray-failing disk acks writes whose media bytes
   // diverge from the CRC just recorded. Probe every chunk's stored checksum
   // before the swap so a born-corrupt stripe is revoked, never published.
-  for (size_t j = 0; j < chunk_targets.size(); ++j) {
-    core::DataProbeRequest probe;
-    probe.device = chunk_targets[j].device;
-    probe.disk_index = chunk_targets[j].disk_index;
-    probe.block_size = stripe_block_size;
-    probe.extents = stripe_extents;
-    probe.expected_checksum = crcs[j];
-    auto r = co_await rpc_.Call(chunk_targets[j].node, std::move(probe),
+  for (size_t j = 0; j < stripe->size(); ++j) {
+    auto r = co_await rpc_.Call((*stripe)[j].node, stripe->Probe((*stripe)[j], crcs[j]),
                                 options_.rpc_timeout);
     if (!r.ok() || !r->present) {
       co_await RevokeStripe(stripe_lvid, std::move(stripe_extents));

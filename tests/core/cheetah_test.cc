@@ -423,6 +423,34 @@ TEST_F(CheetahTest, NoVgVariantMigratesOnMetaExpansion) {
   }
 }
 
+// The second expansion's view lands while the first one's migration writes
+// are still in flight, so MigratePgData resumes under a newer topology map.
+// Its write targets are a ReplicaSet snapshot: under the sanitize preset a
+// pointer kept into the retired map would fail this test.
+TEST_F(CheetahTest, NoVgBackToBackExpansionsMigrateUnderViewChange) {
+  TestbedConfig config = SmallConfig();
+  config.options.no_volume_groups = true;
+  Boot(config);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(bed().PutObject(0, "novg-" + std::to_string(i), Payload(8192, 'x')).ok());
+  }
+  auto first = bed().AddMetaMachine(/*settle=*/false);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = bed().AddMetaMachine(/*settle=*/false);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  bed().RunFor(Seconds(5));
+  uint64_t migrated = 0;
+  for (int i = 0; i < bed().num_meta(); ++i) {
+    migrated += bed().meta(i).counters().migrated_objects->value();
+  }
+  EXPECT_GT(migrated, 0u);
+  for (int i = 0; i < 30; ++i) {
+    auto got = bed().GetObject(1, "novg-" + std::to_string(i));
+    ASSERT_TRUE(got.ok()) << "object " << i << ": " << got.status().ToString();
+    EXPECT_EQ(*got, Payload(8192, 'x'));
+  }
+}
+
 TEST_F(CheetahTest, ConcurrentClientsDistinctObjects) {
   Boot(SmallConfig());
   // Drive both proxies concurrently on one loop.
