@@ -227,20 +227,65 @@ sim::Task<Status> DB::Write(WriteBatch batch) {
     co_await sim::SleepFor(Micros(5));
   }
   ++in_flight_writes_;
-  const std::string record = FrameWalRecord(batch.Encode());
-  counters_.wal_bytes->Add(record.size());
-  Status s = co_await storage_->Append(WalName(mem_wal_seq_), record, options_.sync_wal);
-  if (!s.ok()) {
-    --in_flight_writes_;
-    tracer.End(span, storage_->Now(), /*ok=*/false);
-    co_return s;
+  Writer w{FrameWalRecord(batch.Encode()), &batch};
+  counters_.wal_bytes->Add(w.record.size());
+  // Group commit bounded by the device's queue depth: below it a writer
+  // leads its own group at once (the low-load path is one plain append);
+  // at it, the writer queues until a finishing group hands over its slot.
+  if (wal_groups_in_flight_ < storage_->params().channels) {
+    ++wal_groups_in_flight_;
+    w.leads = true;
+  } else {
+    waiting_writers_.push_back(&w);
+    co_await w.done.Wait();
   }
-  ApplyToMem(batch);
-  counters_.writes->Add();
-  --in_flight_writes_;
+  if (w.leads) {
+    co_await CommitGroup(&w);
+  }
+  if (!w.status.ok()) {
+    tracer.End(span, storage_->Now(), /*ok=*/false);
+    co_return w.status;
+  }
   co_await MaybeScheduleFlush();
   tracer.End(span, storage_->Now());
   co_return Status::Ok();
+}
+
+sim::Task<> DB::CommitGroup(Writer* leader) {
+  // The leader takes every writer queued behind it: their records go out as
+  // one append and one fsync, each keeping its own CRC frame, so replay and
+  // salvage see exactly the records separate appends would have written.
+  std::vector<Writer*> group{leader};
+  std::string payload = std::move(leader->record);
+  while (!waiting_writers_.empty()) {
+    group.push_back(waiting_writers_.front());
+    waiting_writers_.pop_front();
+    payload += group.back()->record;
+  }
+  counters_.wal_syncs->Add();
+  const Status s =
+      co_await storage_->Append(WalName(mem_wal_seq_), std::move(payload), options_.sync_wal);
+  // Nothing is applied or acked before the group's fsync has completed.
+  for (Writer* m : group) {
+    if (s.ok()) {
+      ApplyToMem(*m->batch);
+      counters_.writes->Add();
+    }
+    m->status = s;
+    --in_flight_writes_;
+  }
+  // Hand the slot straight to the next queued writer, which then leads.
+  if (waiting_writers_.empty()) {
+    --wal_groups_in_flight_;
+  } else {
+    Writer* next = waiting_writers_.front();
+    waiting_writers_.pop_front();
+    next->leads = true;
+    next->done.Set();
+  }
+  for (size_t i = 1; i < group.size(); ++i) {
+    group[i]->done.Set();
+  }
 }
 
 sim::Task<Status> DB::Put(std::string key, std::string value) {
@@ -402,24 +447,20 @@ std::optional<std::optional<std::string>> DB::LookupInMemory(std::string_view ke
       return it->second;
     }
   }
-  for (const auto& t : l0_) {
-    if (!t->MayContain(key)) {
-      continue;
-    }
-    *charged_bytes += 4096;
-    if (const Table::Entry* e = t->Find(key)) {
-      *charged_bytes += e->value ? e->value->size() : 0;
-      return e->value;
-    }
-  }
-  for (const auto& t : l1_) {
-    if (!t->MayContain(key)) {
-      continue;
-    }
-    *charged_bytes += 4096;
-    if (const Table::Entry* e = t->Find(key)) {
-      *charged_bytes += e->value ? e->value->size() : 0;
-      return e->value;
+  for (const auto* level : {&l0_, &l1_}) {
+    for (const auto& t : *level) {
+      if (!t->InRange(key)) {
+        continue;
+      }
+      if (!t->FilterMatch(key)) {
+        counters_.filter_skips->Add();
+        continue;
+      }
+      *charged_bytes += 4096;
+      if (const Table::Entry* e = t->Find(key)) {
+        *charged_bytes += e->value ? e->value->size() : 0;
+        return e->value;
+      }
     }
   }
   return std::nullopt;

@@ -1,6 +1,9 @@
 // Embedded LSM key-value store over a simulated disk (RocksDB substitute).
 //
-// Write path: WAL append (optionally fsynced) -> memtable. A full memtable is
+// Write path: WAL append (optionally fsynced) -> memtable. Concurrent writers
+// share appends (group commit): up to the disk's channel count of WAL groups
+// run at once, and writers arriving beyond that queue and go out together as
+// the next group, one append and one fsync. A full memtable is
 // frozen and flushed to a level-0 SSTable in the background; level-0 tables
 // are merged into a single level-1 run when l0_compaction_trigger accumulate.
 // WriteBatch gives multi-key atomicity (all-or-nothing across crashes), which
@@ -17,6 +20,7 @@
 #ifndef SRC_KV_DB_H_
 #define SRC_KV_DB_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -50,6 +54,8 @@ class DB {
     obs::Counter* wal_corrupt_records;
     obs::Counter* wal_salvaged_records;
     obs::Counter* sst_blocks_bad;
+    obs::Counter* wal_syncs;     // group appends; writes / wal_syncs = mean group size
+    obs::Counter* filter_skips;  // in-range tables a Get skipped on the Bloom filter
   };
   const Counters& counters() const { return counters_; }
 
@@ -108,7 +114,8 @@ class DB {
                   scope_.counter("wal_bytes"), scope_.counter("wal_torn_tail"),
                   scope_.counter("wal_corrupt_records"),
                   scope_.counter("wal_salvaged_records"),
-                  scope_.counter("sst_blocks_bad")} {}
+                  scope_.counter("sst_blocks_bad"), scope_.counter("wal_syncs"),
+                  scope_.counter("filter_skips")} {}
 
   // Node allocations come from the process-wide pool: the memtable churns one
   // tree node per applied key, and pooling them keeps the write path off
@@ -124,6 +131,19 @@ class DB {
 
   std::string EncodeManifest() const;
   Status ApplyManifest(std::string_view data);
+
+  // A batch waiting for, or leading, a WAL group; lives in its Write frame.
+  struct Writer {
+    Writer(std::string r, const WriteBatch* b) : record(std::move(r)), batch(b) {}
+    std::string record;  // CRC-framed WAL record
+    const WriteBatch* batch;
+    Status status;
+    bool leads = false;  // this writer appends the group
+    sim::Event done;     // set when handed the lead, or when its group committed
+  };
+  // Appends `leader`'s group (itself plus every queued writer), applies it to
+  // the memtable, then hands the WAL slot to the next queued writer.
+  sim::Task<> CommitGroup(Writer* leader);
 
   sim::Task<Status> PersistManifest();
   sim::Task<> MaybeScheduleFlush();
@@ -149,7 +169,9 @@ class DB {
   bool flushing_ = false;
   bool compacting_ = false;
   bool freeze_pending_ = false;  // flush wants to swap memtables; writes stall
-  int in_flight_writes_ = 0;     // WAL appends not yet applied to the memtable
+  int in_flight_writes_ = 0;     // batches (queued or appending) not yet in the memtable
+  int wal_groups_in_flight_ = 0;  // at most the disk's channel count
+  std::deque<Writer*> waiting_writers_;
 
   // Table names as listed by the last-read manifest (used during Open).
   std::vector<std::string> manifest_l0_;

@@ -4,8 +4,22 @@
 
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
+#include "src/common/hash.h"
 
 namespace cheetah::kv {
+
+namespace {
+
+// Double hashing: probe i tests bit (h1 + i * h2) mod bits. Both hashes are
+// fixed functions of the key, so the filter (and every run) is deterministic.
+struct FilterProbe {
+  uint64_t h1;
+  uint64_t h2;
+  explicit FilterProbe(std::string_view key) : h1(Fnv1a64(key)), h2(Mix64(h1)) {}
+  uint64_t Bit(int i, uint64_t bits) const { return (h1 + static_cast<uint64_t>(i) * h2) % bits; }
+};
+
+}  // namespace
 
 Table::Table(std::string file_name, std::vector<Entry> entries)
     : file_name_(std::move(file_name)), entries_(std::move(entries)) {
@@ -13,9 +27,28 @@ Table::Table(std::string file_name, std::vector<Entry> entries)
     min_key_ = entries_.front().key;
     max_key_ = entries_.back().key;
   }
+  filter_.assign((entries_.size() * kFilterBitsPerKey + 63) / 64, 0);
+  const uint64_t bits = filter_.size() * 64;
   for (const auto& e : entries_) {
     data_bytes_ += e.key.size() + (e.value ? e.value->size() : 0);
+    const FilterProbe probe(e.key);
+    for (int i = 0; i < kFilterProbes; ++i) {
+      const uint64_t bit = probe.Bit(i, bits);
+      filter_[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
   }
+}
+
+bool Table::FilterMatch(std::string_view key) const {
+  const uint64_t bits = filter_.size() * 64;
+  const FilterProbe probe(key);
+  for (int i = 0; i < kFilterProbes; ++i) {
+    const uint64_t bit = probe.Bit(i, bits);
+    if ((filter_[bit / 64] & (uint64_t{1} << (bit % 64))) == 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 const Table::Entry* Table::Find(std::string_view key) const {

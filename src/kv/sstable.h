@@ -9,6 +9,12 @@
 // tables parse unchanged. A parsed copy of the entries is kept in memory for
 // lookup logic; disk reads are *charged* to the simulated device when the
 // table is consulted, which is what the experiments measure.
+//
+// Each table also keeps an in-memory Bloom filter over all of its keys
+// (tombstones included, so a delete keeps shadowing older tables), rebuilt
+// whenever a Table is constructed: by a flush, a compaction or Open. It is
+// not part of the file, so neither the format nor the bytes charged for it
+// change; a point lookup that the filter rules out charges no read.
 #ifndef SRC_KV_SSTABLE_H_
 #define SRC_KV_SSTABLE_H_
 
@@ -38,9 +44,15 @@ class Table {
   const std::string& min_key() const { return min_key_; }
   const std::string& max_key() const { return max_key_; }
 
-  bool MayContain(std::string_view key) const {
+  bool InRange(std::string_view key) const {
     return !entries_.empty() && key >= min_key_ && key <= max_key_;
   }
+  // False only if the Bloom filter rules `key` out (false positive rate
+  // about 1% at 10 bits per key); says nothing about the key range.
+  bool FilterMatch(std::string_view key) const;
+  // False only if `key` is certainly absent: out of range or ruled out by
+  // the filter.
+  bool MayContain(std::string_view key) const { return InRange(key) && FilterMatch(key); }
 
   // Returns the entry (possibly a tombstone) or nullptr if absent.
   const Entry* Find(std::string_view key) const;
@@ -72,11 +84,15 @@ class Table {
   static Result<std::vector<Entry>> DecodeEntries(std::string_view file);
 
  private:
+  static constexpr uint64_t kFilterBitsPerKey = 10;
+  static constexpr int kFilterProbes = 7;  // ~ln 2 * bits per key
+
   std::string file_name_;
   std::vector<Entry> entries_;
   std::string min_key_;
   std::string max_key_;
   uint64_t data_bytes_ = 0;
+  std::vector<uint64_t> filter_;  // bit array, a multiple of 64 bits
 };
 
 using TablePtr = std::shared_ptr<const Table>;

@@ -2,6 +2,7 @@
 
 #include "tests/test_util.h"
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -369,6 +370,204 @@ TEST_F(KvTest, SmallerBufferFlushesMoreOften) {
   EXPECT_GT(flushes_small, flushes_large);
 }
 
+// ---- group commit ----
+
+// Spawns `n` writers that each put one key ("g<i>") and counts those acked.
+Task<> PutConcurrently(DB* db, int n, std::shared_ptr<int> acked) {
+  sim::Actor* actor = co_await sim::CurrentActor{};
+  auto latch = std::make_shared<sim::Latch>(n);
+  for (int i = 0; i < n; ++i) {
+    actor->Spawn([](DB* db, int i, std::shared_ptr<int> acked,
+                    std::shared_ptr<sim::Latch> l) -> Task<> {
+      if ((co_await db->Put("g" + std::to_string(i), "v" + std::to_string(i))).ok()) {
+        ++*acked;
+      }
+      l->CountDown();
+    }(db, i, acked, latch));
+  }
+  co_await latch->Wait();
+}
+
+TEST_F(KvTest, LoneWriterPaysOneAppendAndOneFsync) {
+  Run(Options{}, [this](DB* db) -> Task<> {
+    const Nanos start = loop_.Now();
+    EXPECT_TRUE((co_await db->Put("k", "v")).ok());
+    const sim::DiskParams& p = storage_.params();
+    const uint64_t bytes = db->counters().wal_bytes->value();
+    const auto transfer = static_cast<Nanos>(static_cast<double>(bytes) /
+                                             p.write_bw_bytes_per_sec * 1e9);
+    EXPECT_EQ(loop_.Now() - start, p.write_base + transfer + p.fsync_base);
+    EXPECT_EQ(db->counters().wal_syncs->value(), 1u);
+  });
+}
+
+TEST_F(KvTest, ConcurrentWritersShareWalSyncs) {
+  ASSERT_EQ(storage_.params().channels, 8);
+  Run(Options{}, [](DB* db) -> Task<> {
+    auto acked = std::make_shared<int>(0);
+    co_await PutConcurrently(db, 64, acked);
+    EXPECT_EQ(*acked, 64);
+    EXPECT_EQ(db->CountLiveEntries(), 64u);
+    for (int i = 0; i < 64; ++i) {
+      EXPECT_EQ((co_await db->Get("g" + std::to_string(i))).value_or("X"),
+                "v" + std::to_string(i));
+    }
+    EXPECT_EQ(db->counters().writes->value(), 64u);
+    EXPECT_LT(db->counters().wal_syncs->value(), 64u);
+  });
+}
+
+TEST_F(KvTest, PowerLossMidGroupKeepsEveryAckedBatch) {
+  // 64 writers, each committing 4 two-key batches; power fails while groups
+  // are in flight. Every acked batch must survive, and none may be torn.
+  constexpr int kWriters = 64;
+  constexpr int kBatches = 4;
+  auto acked = std::make_shared<std::vector<int>>(kWriters, 0);
+  actor_.Spawn([](KvTest* self, std::shared_ptr<std::vector<int>> acked) -> Task<> {
+    auto db = co_await DB::Open(Options{}, &self->storage_);
+    CO_ASSERT_OK(db);
+    self->db_ = std::move(*db);
+    sim::Actor* actor = co_await sim::CurrentActor{};
+    for (int w = 0; w < kWriters; ++w) {
+      actor->Spawn([](DB* db, int w, std::shared_ptr<std::vector<int>> acked) -> Task<> {
+        for (int b = 0; b < kBatches; ++b) {
+          const std::string id = std::to_string(w) + "_" + std::to_string(b);
+          WriteBatch batch;
+          batch.Put("pl" + id + "_a", id);
+          batch.Put("pl" + id + "_b", id);
+          if (!(co_await db->Write(std::move(batch))).ok()) {
+            co_return;
+          }
+          (*acked)[w] = b + 1;
+        }
+      }(self->db_.get(), w, acked));
+    }
+  }(this, acked));
+  loop_.RunFor(Micros(175));  // inside a group's append-to-fsync window
+  int total_acked = 0;
+  for (int n : *acked) {
+    total_acked += n;
+  }
+  ASSERT_GT(total_acked, 0);
+  ASSERT_LT(total_acked, kWriters * kBatches);
+  // Some writers are still waiting on a group: the cut lands mid-traffic.
+  ASSERT_LT(db_->counters().writes->value(), static_cast<uint64_t>(kWriters * kBatches));
+  db_.reset();
+  actor_.Kill();
+  const std::string wal = storage_.ListFiles("db.wal_").front();
+  const uint64_t appended = storage_.FileSize(wal);
+  storage_.PowerLoss();
+  // A group had appended its records but not yet synced them.
+  ASSERT_LT(storage_.FileSize(wal), appended);
+  actor_.Revive();
+
+  Run(Options{}, [acked](DB* db) -> Task<> {
+    for (int w = 0; w < kWriters; ++w) {
+      for (int b = 0; b < kBatches; ++b) {
+        const std::string id = std::to_string(w) + "_" + std::to_string(b);
+        auto a = co_await db->Get("pl" + id + "_a");
+        auto bb = co_await db->Get("pl" + id + "_b");
+        EXPECT_EQ(a.ok(), bb.ok()) << "torn batch " << id;
+        if (b < (*acked)[w]) {
+          EXPECT_EQ(a.value_or("X"), id) << "acked batch lost " << id;
+          EXPECT_EQ(bb.value_or("X"), id) << "acked batch lost " << id;
+        }
+      }
+    }
+  });
+}
+
+TEST_F(KvTest, TornTailInsideGroupKeepsEarlierRecords) {
+  // 64 writers on 8 channels: writers 0-7 lead single-record groups and the
+  // rest queue. The 8 finishing groups hand their slots to writers 8-15;
+  // 9-15 run first and append alone, then writer 8 takes the 48 still
+  // queued (16-63) into one 49-record group, the WAL's tail, ending in g63.
+  Run(Options{}, [](DB* db) -> Task<> {
+    auto acked = std::make_shared<int>(0);
+    co_await PutConcurrently(db, 64, acked);
+    EXPECT_EQ(*acked, 64);
+    EXPECT_EQ(db->counters().wal_syncs->value(), 16u);
+  });
+  db_.reset();
+  // Tear the group's final record, as a crash mid-append would.
+  actor_.Spawn([](Storage* storage) -> Task<> {
+    auto wals = storage->ListFiles("db.wal_");
+    CO_ASSERT_EQ(wals.size(), 1u);
+    auto data = co_await storage->ReadFile(wals.front());
+    CO_ASSERT_OK(data);
+    data->resize(data->size() - 3);
+    (void)co_await storage->WriteFile(wals.front(), *data, /*sync=*/true);
+  }(&storage_));
+  loop_.Run();
+  Run(Options{}, [](DB* db) -> Task<> {
+    EXPECT_EQ(db->recovery_stats().wal_torn_tail, 1u);
+    EXPECT_EQ(db->recovery_stats().wal_corrupt_records, 0u);
+    EXPECT_EQ(db->recovery_stats().wal_records_replayed, 63u);
+    EXPECT_TRUE((co_await db->Get("g63")).status().IsNotFound());
+    for (int i = 0; i < 63; ++i) {
+      EXPECT_EQ((co_await db->Get("g" + std::to_string(i))).value_or("X"),
+                "v" + std::to_string(i));
+    }
+  });
+}
+
+// ---- Bloom filters ----
+
+std::string FilterKey(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "key%06d", i);
+  return buf;
+}
+
+TEST_F(KvTest, TombstoneInNewerTableShadowsOlderValue) {
+  Options options;
+  options.memtable_bytes = 1024;
+  options.l0_compaction_trigger = 100;  // keep put and delete in separate tables
+  auto body = [](DB* db) -> Task<> {
+    auto fill = [db](const std::string& tag) -> Task<> {
+      for (int i = 0; i < 20; ++i) {
+        (void)co_await db->Put(tag + std::to_string(i), std::string(64, 'f'));
+      }
+      co_await db->WaitForMaintenance();
+    };
+    CO_ASSERT_STATUS_OK(co_await db->Put("victim", "v"));
+    co_await fill("a");
+    CO_ASSERT_STATUS_OK(co_await db->Delete("victim"));
+    co_await fill("b");
+    EXPECT_TRUE((co_await db->Get("victim")).status().IsNotFound());
+  };
+  Run(options, body);
+  ASSERT_GE(db_->counters().flushes->value(), 2u);
+  ASSERT_EQ(db_->counters().compactions->value(), 0u);
+  db_.reset();
+  Run(options, [](DB* db) -> Task<> {
+    EXPECT_TRUE((co_await db->Get("victim")).status().IsNotFound());
+  });
+}
+
+TEST_F(KvTest, AbsentKeyGetAfterReopenTouchesNoDisk) {
+  Options options;
+  options.memtable_bytes = 2048;
+  options.l0_compaction_trigger = 100;
+  Run(options, [](DB* db) -> Task<> {
+    for (int i = 0; i < 400; i += 2) {
+      (void)co_await db->Put(FilterKey(i), std::string(32, 'v'));
+    }
+    co_await db->WaitForMaintenance();
+  });
+  ASSERT_GE(db_->counters().flushes->value(), 2u);
+  db_.reset();
+  Run(options, [this](DB* db) -> Task<> {
+    // A Get suspends on the disk only when it charges a table read.
+    const Nanos before = loop_.Now();
+    EXPECT_TRUE((co_await db->Get(FilterKey(201))).status().IsNotFound());
+    EXPECT_EQ(loop_.Now(), before);
+    EXPECT_GT(db->counters().filter_skips->value(), 0u);
+    EXPECT_EQ((co_await db->Get(FilterKey(200))).value_or("X"), std::string(32, 'v'));
+    EXPECT_GT(loop_.Now(), before);
+  });
+}
+
 class WriteBatchTest : public ::testing::Test {};
 
 TEST_F(WriteBatchTest, EncodeDecodeRoundTrip) {
@@ -434,10 +633,39 @@ TEST_F(TableTest, FindAndRange) {
   Table t("sst", entries);
   EXPECT_NE(t.Find("a_2"), nullptr);
   EXPECT_EQ(t.Find("a_3"), nullptr);
-  EXPECT_TRUE(t.MayContain("a_5"));
+  for (const auto& e : entries) {
+    EXPECT_TRUE(t.MayContain(e.key)) << e.key;
+  }
   EXPECT_FALSE(t.MayContain("zz"));
   EXPECT_EQ(t.PrefixRange("b_").size(), 2u);
   EXPECT_EQ(t.PrefixRange("c_").size(), 0u);
+}
+
+TEST_F(TableTest, FilterHasNoFalseNegatives) {
+  std::vector<Table::Entry> entries;
+  for (int i = 0; i < 10000; ++i) {
+    entries.push_back({FilterKey(i), i % 7 == 0 ? std::nullopt : std::optional<std::string>("v")});
+  }
+  Table t("sst", entries);
+  for (const auto& e : entries) {
+    ASSERT_TRUE(t.MayContain(e.key)) << e.key;
+  }
+}
+
+TEST_F(TableTest, FilterFalsePositivesStayUnderTwoPercent) {
+  // Even keys stored, odd keys absent: every probe is inside the key range,
+  // so only the filter can rule it out.
+  std::vector<Table::Entry> entries;
+  for (int i = 0; i <= 20000; i += 2) {
+    entries.push_back({FilterKey(i), "v"});
+  }
+  Table t("sst", entries);
+  int false_positives = 0;
+  for (int i = 1; i < 20000; i += 2) {
+    ASSERT_TRUE(t.InRange(FilterKey(i)));
+    false_positives += t.MayContain(FilterKey(i));
+  }
+  EXPECT_LE(false_positives, 200);  // 2% of 10k
 }
 
 }  // namespace
