@@ -14,9 +14,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <system_error>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "src/baselines/ceph.h"
@@ -43,15 +44,45 @@ inline uint64_t ScaledOps(uint64_t base) {
   return std::max<uint64_t>(50, static_cast<uint64_t>(static_cast<double>(base) * s));
 }
 
-// ---- cluster bundles exposing runner-compatible client lists ----
+// ---- booted clusters exposing runner-compatible client lists ----
 
-struct CheetahBench {
-  std::unique_ptr<core::Testbed> bed;
-  std::vector<std::unique_ptr<workload::CheetahStore>> stores;
+// A booted cluster plus its clients as the Runner takes them. Cheetah's
+// proxies reach the ObjectStore interface through CheetahStore adapters; a
+// baseline's clients implement it themselves.
+template <typename Cluster>
+struct Bench {
+  std::unique_ptr<Cluster> cluster;
+  std::vector<std::unique_ptr<workload::CheetahStore>> adapters;
   std::vector<std::pair<sim::Actor*, workload::ObjectStore*>> clients;
 
-  sim::EventLoop& loop() { return bed->loop(); }
+  sim::EventLoop& loop() { return cluster->loop(); }
 };
+
+using CheetahBench = Bench<core::Testbed>;
+
+// Builds and boots a cluster, exiting the process when boot fails.
+template <typename Cluster, typename Config>
+Bench<Cluster> BootOrDie(const char* system, Config config) {
+  Bench<Cluster> bench;
+  bench.cluster = std::make_unique<Cluster>(std::move(config));
+  Status s = bench.cluster->Boot();
+  if (!s.ok()) {
+    std::fprintf(stderr, "fatal: %s boot failed: %s\n", system, s.ToString().c_str());
+    std::exit(1);
+  }
+  if constexpr (std::is_same_v<Cluster, core::Testbed>) {
+    for (int i = 0; i < bench.cluster->num_proxies(); ++i) {
+      bench.adapters.push_back(std::make_unique<workload::CheetahStore>(&bench.cluster->proxy(i)));
+      bench.clients.emplace_back(&bench.cluster->proxy_machine(i).actor(),
+                                 bench.adapters.back().get());
+    }
+  } else {
+    for (int i = 0; i < bench.cluster->num_clients(); ++i) {
+      bench.clients.emplace_back(&bench.cluster->client_actor(i), &bench.cluster->client(i));
+    }
+  }
+  return bench;
+}
 
 inline core::TestbedConfig PaperCheetahConfig(core::CheetahOptions options = {}) {
   core::TestbedConfig config;
@@ -68,28 +99,8 @@ inline core::TestbedConfig PaperCheetahConfig(core::CheetahOptions options = {})
 }
 
 inline CheetahBench MakeCheetah(core::TestbedConfig config = PaperCheetahConfig()) {
-  CheetahBench bench;
-  bench.bed = std::make_unique<core::Testbed>(std::move(config));
-  Status s = bench.bed->Boot();
-  if (!s.ok()) {
-    std::fprintf(stderr, "fatal: cheetah boot failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  for (int i = 0; i < bench.bed->num_proxies(); ++i) {
-    bench.stores.push_back(std::make_unique<workload::CheetahStore>(&bench.bed->proxy(i)));
-    bench.clients.emplace_back(&bench.bed->proxy_machine(i).actor(),
-                               bench.stores.back().get());
-  }
-  return bench;
+  return BootOrDie<core::Testbed>("cheetah", std::move(config));
 }
-
-struct HaystackBench {
-  std::unique_ptr<sim::EventLoop> loop_holder;
-  std::unique_ptr<baselines::HaystackCluster> cluster;
-  std::vector<std::pair<sim::Actor*, workload::ObjectStore*>> clients;
-
-  sim::EventLoop& loop() { return cluster->loop(); }
-};
 
 inline baselines::HaystackConfig PaperHaystackConfig() {
   baselines::HaystackConfig config;
@@ -101,58 +112,18 @@ inline baselines::HaystackConfig PaperHaystackConfig() {
   return config;
 }
 
-inline HaystackBench MakeHaystack(
+inline Bench<baselines::HaystackCluster> MakeHaystack(
     baselines::HaystackConfig config = PaperHaystackConfig()) {
-  HaystackBench bench;
-  bench.loop_holder = std::make_unique<sim::EventLoop>();
-  bench.cluster =
-      std::make_unique<baselines::HaystackCluster>(*bench.loop_holder, std::move(config));
-  Status s = bench.cluster->Boot();
-  if (!s.ok()) {
-    std::fprintf(stderr, "fatal: haystack boot failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  for (int i = 0; i < bench.cluster->num_clients(); ++i) {
-    bench.clients.emplace_back(&bench.cluster->client_actor(i), &bench.cluster->client(i));
-  }
-  return bench;
+  return BootOrDie<baselines::HaystackCluster>("haystack", std::move(config));
 }
 
-struct TectonicBench {
-  std::unique_ptr<sim::EventLoop> loop_holder;
-  std::unique_ptr<baselines::TectonicCluster> cluster;
-  std::vector<std::pair<sim::Actor*, workload::ObjectStore*>> clients;
-
-  sim::EventLoop& loop() { return cluster->loop(); }
-};
-
-inline TectonicBench MakeTectonic() {
+inline Bench<baselines::TectonicCluster> MakeTectonic() {
   baselines::TectonicConfig config;
   config.store_machines = 9;
   config.client_machines = 3;
   config.store_volume_content = false;
-  TectonicBench bench;
-  bench.loop_holder = std::make_unique<sim::EventLoop>();
-  bench.cluster =
-      std::make_unique<baselines::TectonicCluster>(*bench.loop_holder, std::move(config));
-  Status s = bench.cluster->Boot();
-  if (!s.ok()) {
-    std::fprintf(stderr, "fatal: tectonic boot failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  for (int i = 0; i < bench.cluster->num_clients(); ++i) {
-    bench.clients.emplace_back(&bench.cluster->client_actor(i), &bench.cluster->client(i));
-  }
-  return bench;
+  return BootOrDie<baselines::TectonicCluster>("tectonic", std::move(config));
 }
-
-struct CephBench {
-  std::unique_ptr<sim::EventLoop> loop_holder;
-  std::unique_ptr<baselines::CephCluster> cluster;
-  std::vector<std::pair<sim::Actor*, workload::ObjectStore*>> clients;
-
-  sim::EventLoop& loop() { return cluster->loop(); }
-};
 
 inline baselines::CephConfig PaperCephConfig() {
   baselines::CephConfig config;
@@ -163,20 +134,9 @@ inline baselines::CephConfig PaperCephConfig() {
   return config;
 }
 
-inline CephBench MakeCeph(baselines::CephConfig config = PaperCephConfig()) {
-  CephBench bench;
-  bench.loop_holder = std::make_unique<sim::EventLoop>();
-  bench.cluster =
-      std::make_unique<baselines::CephCluster>(*bench.loop_holder, std::move(config));
-  Status s = bench.cluster->Boot();
-  if (!s.ok()) {
-    std::fprintf(stderr, "fatal: ceph boot failed: %s\n", s.ToString().c_str());
-    std::exit(1);
-  }
-  for (int i = 0; i < bench.cluster->num_clients(); ++i) {
-    bench.clients.emplace_back(&bench.cluster->client_actor(i), &bench.cluster->client(i));
-  }
-  return bench;
+inline Bench<baselines::CephCluster> MakeCeph(
+    baselines::CephConfig config = PaperCephConfig()) {
+  return BootOrDie<baselines::CephCluster>("ceph", std::move(config));
 }
 
 // ---- canned workloads ----

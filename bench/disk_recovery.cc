@@ -20,19 +20,19 @@ int main() {
     (void)workload::Preload(bench.loop(), bench.clients, "dr-", preload, KiB(512));
     auto bytes_recovered = [&bench] {
       uint64_t total = 0;
-      for (int i = 0; i < bench.bed->num_data(); ++i) {
-        if (bench.bed->data_machine(i).alive()) {
-          total += bench.bed->data(i).counters().recovery_bytes->value();
+      for (int i = 0; i < bench.cluster->num_data(); ++i) {
+        if (bench.cluster->data_machine(i).alive()) {
+          total += bench.cluster->data(i).counters().recovery_bytes->value();
         }
       }
       return total;
     };
-    bench.bed->CrashDataMachine(0, /*power_loss=*/false);
+    bench.cluster->CrashDataMachine(0, /*power_loss=*/false);
     uint64_t last = 0;
     Nanos first_change = 0;
     Nanos last_change = 0;
     for (int tick = 0; tick < 600; ++tick) {
-      bench.bed->RunFor(Millis(100));
+      bench.cluster->RunFor(Millis(100));
       const uint64_t now_bytes = bytes_recovered();
       if (now_bytes != last) {
         if (first_change == 0) {

@@ -141,13 +141,13 @@ Row RunScheme(const std::string& scheme, uint32_t k, uint32_t m,
   if (k > 0) {
     // Write-then-promote: age every object past demote_after, then run one
     // synchronous tiering pass so the gets below hit the EC read path.
-    bench.bed->RunFor(Seconds(1));
-    bench.bed->TierAll();
-    bench.bed->RunFor(Millis(200));  // bitmap persists, discards land
+    bench.cluster->RunFor(Seconds(1));
+    bench.cluster->TierAll();
+    bench.cluster->RunFor(Millis(200));  // bitmap persists, discards land
   }
-  row.demotions = TotalDemotions(*bench.bed);
-  row.inline_puts = TotalInlinePuts(*bench.bed);
-  row.overhead = static_cast<double>(DataPlaneBytes(*bench.bed)) /
+  row.demotions = TotalDemotions(*bench.cluster);
+  row.inline_puts = TotalInlinePuts(*bench.cluster);
+  row.overhead = static_cast<double>(DataPlaneBytes(*bench.cluster)) /
                  static_cast<double>(objects * size);
 
   row.gets = RunGets(bench.loop(), bench.clients, names, gets, concurrency);

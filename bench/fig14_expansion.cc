@@ -65,7 +65,7 @@ int main() {
         workload::Preload(bench.loop(), bench.clients, "pre-", preload, KiB(64));
     auto steady = RunGets(bench.loop(), bench.clients, names, ops / 4, 20);
     steady_get_p99 = steady.get.PercentileMillis(0.99);
-    auto added = bench.bed->AddMetaMachine();
+    auto added = bench.cluster->AddMetaMachine();
     if (!added.ok()) {
       std::fprintf(stderr, "cheetah expansion failed: %s\n", added.status().ToString().c_str());
       return 1;
@@ -80,7 +80,7 @@ int main() {
     auto names =
         workload::Preload(bench.loop(), bench.clients, "pre-", preload, KiB(64));
     // Do not settle: measure while the PG-data migration runs.
-    auto added = bench.bed->AddMetaMachine(/*settle=*/false);
+    auto added = bench.cluster->AddMetaMachine(/*settle=*/false);
     if (!added.ok()) {
       std::fprintf(stderr, "novg expansion failed: %s\n", added.status().ToString().c_str());
       return 1;

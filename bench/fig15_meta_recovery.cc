@@ -27,11 +27,11 @@ int main() {
                static_cast<unsigned long long>(results.put.count()));
 
   // Disconnect meta machine 0; a fresh machine replaces it.
-  bench.bed->CrashMetaMachine(0, /*power_loss=*/false);
+  bench.cluster->CrashMetaMachine(0, /*power_loss=*/false);
   const Nanos t0 = bench.loop().Now();
   // settle=false: return as soon as the view change commits so the sampling
   // below observes the PG transfer in progress.
-  auto added = bench.bed->AddMetaMachine(/*settle=*/false);
+  auto added = bench.cluster->AddMetaMachine(/*settle=*/false);
   if (!added.ok()) {
     std::fprintf(stderr, "replacement failed: %s\n", added.status().ToString().c_str());
     return 1;
@@ -44,7 +44,7 @@ int main() {
   int stable = 0;
   for (int tick = 0; tick < 600; ++tick) {
     const double t = static_cast<double>(bench.loop().Now() - t0) / 1e9;
-    const uint64_t recovered = bench.bed->meta(new_idx).counters().recovered_kvs->value();
+    const uint64_t recovered = bench.cluster->meta(new_idx).counters().recovered_kvs->value();
     std::printf("%-18.1f%-18llu\n", t, static_cast<unsigned long long>(recovered));
     if (recovered == last && recovered > 0 && ++stable > 80) {
       break;  // plateaued for ~0.8s: recovery complete
@@ -53,7 +53,7 @@ int main() {
       stable = 0;
     }
     last = recovered;
-    bench.bed->RunFor(Millis(10));
+    bench.cluster->RunFor(Millis(10));
   }
   DumpObsJson("fig15_meta_recovery");
   return 0;

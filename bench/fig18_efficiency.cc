@@ -59,7 +59,7 @@ int main() {
       }
       (void)RunDeletes(bench.loop(), bench.clients, victims, victims.size(), 40);
     }
-    bench.bed->RunFor(Seconds(1));  // cleaner/bitmap sync
+    bench.cluster->RunFor(Seconds(1));  // cleaner/bitmap sync
 
     uint64_t live_bytes = 0;
     for (const auto& [name, size] : *live) {
@@ -68,9 +68,9 @@ int main() {
     // Occupied = block-rounded extents actually held on the devices, counted
     // once per logical volume (replicas store identical data).
     uint64_t occupied = 0;
-    const auto& topo = bench.bed->meta(0).topology();
-    for (int i = 0; i < bench.bed->num_data(); ++i) {
-      auto& machine = bench.bed->data_machine(i);
+    const auto& topo = bench.cluster->meta(0).topology();
+    for (int i = 0; i < bench.cluster->num_data(); ++i) {
+      auto& machine = bench.cluster->data_machine(i);
       for (const auto& [pv_id, pv] : topo.pvs) {
         if (pv.data_server != machine.node_id()) {
           continue;

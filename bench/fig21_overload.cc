@@ -148,7 +148,7 @@ double MeasureSaturation(const Fig21Scale& scale) {
                                                                     bench.clients[1]};
   auto names =
       workload::Preload(bench.loop(), fg, "f21-", scale.preload, KiB(8), 64);
-  auto st = StartStorm(*bench.bed);
+  auto st = StartStorm(*bench.cluster);
   auto res = RunGets(bench.loop(), fg, names, scale.saturation_ops, 128);
   st->stop = true;
   return res.throughput.OpsPerSec();
@@ -156,7 +156,7 @@ double MeasureSaturation(const Fig21Scale& scale) {
 
 CellResult RunCell(bool qos_on, double frac, double saturation, const Fig21Scale& scale) {
   CheetahBench bench = MakeCheetah(Fig21Config(qos_on));
-  core::Testbed& bed = *bench.bed;
+  core::Testbed& bed = *bench.cluster;
   std::vector<std::pair<sim::Actor*, workload::ObjectStore*>> fg = {bench.clients[0],
                                                                     bench.clients[1]};
   auto names =

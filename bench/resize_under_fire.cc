@@ -91,7 +91,7 @@ int main() {
   config.lv_capacity_bytes = GiB(1);
   config.store_volume_content = false;
   auto bench = MakeCheetah(std::move(config));
-  core::Testbed& bed = *bench.bed;
+  core::Testbed& bed = *bench.cluster;
 
   auto names = workload::Preload(bench.loop(), bench.clients, "pre-",
                                  preload_count, KiB(16));

@@ -68,7 +68,7 @@ SideResult RunSide(bool scrub_on, const ScrubScale& scale) {
       workload::Preload(bench.loop(), bench.clients, "scrub-", scale.preload, KiB(64));
   // Let the first scrub pass (if any) start before measuring, so the measured
   // window overlaps steady-state scrubbing rather than an idle scrubber.
-  bench.bed->RunFor(Seconds(1));
+  bench.cluster->RunFor(Seconds(1));
 
   SideResult side;
   side.gets = RunGets(bench.loop(), bench.clients, names, scale.get_ops, scale.concurrency);
@@ -77,27 +77,27 @@ SideResult RunSide(bool scrub_on, const ScrubScale& scale) {
     // Repair demo: rot a slice of at-rest extents on a third of the cluster,
     // give the periodic scrubber a fixed virtual-time budget, then audit that
     // a fresh pass finds nothing left to repair.
-    for (int i = 0; i < bench.bed->num_data(); i += 3) {
-      sim::Machine& m = bench.bed->data_machine(i);
+    for (int i = 0; i < bench.cluster->num_data(); i += 3) {
+      sim::Machine& m = bench.cluster->data_machine(i);
       for (size_t d = 0; d < m.num_disks(); ++d) {
         m.disk(d).InjectBitRot(0.02, 0x5c72bu ^ (static_cast<uint64_t>(i) << 8) ^ d);
       }
     }
-    for (int i = 0; i < bench.bed->num_data(); ++i) {
-      sim::Machine& m = bench.bed->data_machine(i);
+    for (int i = 0; i < bench.cluster->num_data(); ++i) {
+      sim::Machine& m = bench.cluster->data_machine(i);
       for (size_t d = 0; d < m.num_disks(); ++d) {
         side.injected_extents += m.disk(d).bitrot_extents();
       }
     }
-    bench.bed->RunFor(Seconds(2));
-    bench.bed->ScrubAll();
-    const uint64_t corrupt_before_audit = TotalCorruptFound(*bench.bed);
-    bench.bed->ScrubAll();
-    side.residual_corrupt = TotalCorruptFound(*bench.bed) - corrupt_before_audit;
+    bench.cluster->RunFor(Seconds(2));
+    bench.cluster->ScrubAll();
+    const uint64_t corrupt_before_audit = TotalCorruptFound(*bench.cluster);
+    bench.cluster->ScrubAll();
+    side.residual_corrupt = TotalCorruptFound(*bench.cluster) - corrupt_before_audit;
   }
 
-  for (int i = 0; i < bench.bed->num_meta(); ++i) {
-    const core::Scrubber::Counters& c = bench.bed->meta(i).scrubber().counters();
+  for (int i = 0; i < bench.cluster->num_meta(); ++i) {
+    const core::Scrubber::Counters& c = bench.cluster->meta(i).scrubber().counters();
     side.scrubbed_objects += c.objects->value();
     side.scrub_repairs += c.repairs->value();
   }

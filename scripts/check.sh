@@ -78,3 +78,8 @@ CHEETAH_BENCH_SCALE=0.02 "$builddir/bench/fig13_richmeta"
 # throughput floor over the legacy priority_queue loop.
 ctest --preset "$preset" -L perf -j "$(nproc)"
 CHEETAH_SIM_ENGINE_SMOKE=1 "$builddir/bench/sim_engine_speed"
+
+# Benchmark smoke: perfbench/ builds outside the main CMake tree, so a src/
+# API change that breaks it would otherwise surface only in the benchmark
+# run. One short trace-mix run must build, run and report correct (exit 0).
+CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py --workload trace-mix --seed 1 --seconds 1 --trace 0

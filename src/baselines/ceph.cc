@@ -1,5 +1,8 @@
 #include "src/baselines/ceph.h"
 
+#include <iterator>
+#include <ranges>
+
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
 #include "src/common/logging.h"
@@ -346,71 +349,54 @@ sim::Task<Status> CephClient::Delete(std::string name) {
 
 // ---- cluster ----
 
-CephCluster::CephCluster(sim::EventLoop& loop, CephConfig config)
-    : loop_(loop), config_(std::move(config)), net_(loop, config_.net) {
+CephCluster::CephCluster(CephConfig config)
+    : config_(std::move(config)), net_(loop_, config_.net) {
   for (int i = 0; i < config_.osd_machines; ++i) {
-    OsdBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, next_osd_id_,
-                                               "osd" + std::to_string(i), params);
-    b.machine->disk(0).set_store_volume_content(config_.store_volume_content);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<CephOsd>(*b.rpc, config_);
-    map_.AddItem(next_osd_id_);
-    ++next_osd_id_;
-    osds_.push_back(std::move(b));
+    AddOsdHost();
   }
+  sim::MachineParams params;
+  params.disk = config_.disk;
   for (int i = 0; i < config_.client_machines; ++i) {
-    ClientBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, 3500 + i,
-                                               "cclient" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.client = std::make_unique<CephClient>(*b.rpc, config_, 0xcef + i);
-    clients_.push_back(std::move(b));
+    auto& host = clients_.emplace_back(loop_, net_, 3500 + i, "cclient" + std::to_string(i),
+                                       params);
+    host.server = std::make_unique<CephClient>(host.rpc, config_, 0xcef + i);
   }
 }
 
 CephCluster::~CephCluster() = default;
 
+void CephCluster::AddOsdHost() {
+  sim::MachineParams params;
+  params.disk = config_.disk;
+  auto& host = osds_.emplace_back(loop_, net_, next_osd_id_,
+                                  "osd" + std::to_string(osds_.size()), params);
+  host.machine.disk(0).set_store_volume_content(config_.store_volume_content);
+  host.server = std::make_unique<CephOsd>(host.rpc, config_);
+  map_.AddItem(next_osd_id_);
+  ++next_osd_id_;
+}
+
 Status CephCluster::Boot() {
-  auto pending = std::make_shared<int>(static_cast<int>(osds_.size()));
-  auto failed = std::make_shared<bool>(false);
-  for (auto& o : osds_) {
-    o.machine->actor().Spawn([](CephOsd* osd, std::shared_ptr<int> pending,
-                                std::shared_ptr<bool> failed) -> sim::Task<> {
-      Status s = co_await osd->Start();
-      if (!s.ok()) {
-        *failed = true;
-      }
-      --*pending;
-    }(o.server.get(), pending, failed));
-  }
-  while (*pending > 0 && loop_.RunOne()) {
-  }
+  const bool started = rpc::StartAll(loop_, osds_);
   DisseminateMap({});
   loop_.RunFor(Millis(10));
-  return *failed ? Status::Internal("osd failed to start") : Status::Ok();
+  return started ? Status::Ok() : Status::Internal("osd failed to start");
 }
 
 void CephCluster::DisseminateMap(const std::map<uint32_t, sim::NodeId>& previous_primaries) {
   for (auto& o : osds_) {
-    if (o.machine->alive()) {
+    if (o.machine.alive()) {
       o.server->InstallMap(map_, epoch_, previous_primaries);
     }
   }
   for (auto& c : clients_) {
-    c.client->InstallMap(map_, epoch_);
+    c.server->InstallMap(map_, epoch_);
   }
 }
 
 void CephCluster::FailOsd(int i) {
   std::map<uint32_t, sim::NodeId> previous_primaries;
-  const sim::NodeId dead = osds_.at(i).machine->node_id();
+  const sim::NodeId dead = osds_.at(i).machine.node_id();
   for (uint32_t pg = 0; pg < config_.pg_count; ++pg) {
     // Backfill sources must be survivors: pick the first acting member that
     // is not the dead OSD.
@@ -421,8 +407,7 @@ void CephCluster::FailOsd(int i) {
       }
     }
   }
-  osds_[i].machine->CrashProcess();
-  osds_[i].rpc->Detach();
+  osds_[i].Crash(/*power_loss=*/false);
   map_.RemoveItem(dead);
   ++epoch_;
   DisseminateMap(previous_primaries);
@@ -433,26 +418,9 @@ void CephCluster::AddOsd() {
   for (uint32_t pg = 0; pg < config_.pg_count; ++pg) {
     previous_primaries[pg] = static_cast<sim::NodeId>(map_.Primary(pg));
   }
-  OsdBundle b;
-  sim::MachineParams params;
-  params.disk = config_.disk;
-  b.machine = std::make_unique<sim::Machine>(
-      loop_, next_osd_id_, "osd" + std::to_string(osds_.size()), params);
-  b.machine->disk(0).set_store_volume_content(config_.store_volume_content);
-  b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-  b.rpc->Attach();
-  b.server = std::make_unique<CephOsd>(*b.rpc, config_);
-  auto started = std::make_shared<bool>(false);
-  b.machine->actor().Spawn([](CephOsd* osd, std::shared_ptr<bool> started) -> sim::Task<> {
-    (void)co_await osd->Start();
-    *started = true;
-  }(b.server.get(), started));
-  map_.AddItem(next_osd_id_);
-  ++next_osd_id_;
-  osds_.push_back(std::move(b));
+  AddOsdHost();
   ++epoch_;
-  while (!*started && loop_.RunOne()) {
-  }
+  (void)rpc::StartAll(loop_, std::ranges::subrange(std::prev(osds_.end()), osds_.end()));
   DisseminateMap(previous_primaries);
 }
 

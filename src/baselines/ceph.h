@@ -11,6 +11,7 @@
 #ifndef SRC_BASELINES_CEPH_H_
 #define SRC_BASELINES_CEPH_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,7 +22,7 @@
 #include "src/crush/crush.h"
 #include "src/kv/db.h"
 #include "src/obs/metrics.h"
-#include "src/rpc/node.h"
+#include "src/rpc/host.h"
 #include "src/sim/sync.h"
 #include "src/workload/object_store.h"
 
@@ -209,14 +210,14 @@ class CephClient : public workload::ObjectStore {
 
 class CephCluster {
  public:
-  CephCluster(sim::EventLoop& loop, CephConfig config);
+  explicit CephCluster(CephConfig config);
   ~CephCluster();
 
   Status Boot();
 
   int num_clients() const { return static_cast<int>(clients_.size()); }
-  CephClient& client(int i) { return *clients_.at(i).client; }
-  sim::Actor& client_actor(int i) { return clients_.at(i).machine->actor(); }
+  CephClient& client(int i) { return *clients_.at(i).server; }
+  sim::Actor& client_actor(int i) { return clients_.at(i).machine.actor(); }
   CephOsd& osd(int i) { return *osds_.at(i).server; }
   int num_osds() const { return static_cast<int>(osds_.size()); }
   sim::EventLoop& loop() { return loop_; }
@@ -231,27 +232,18 @@ class CephCluster {
   void FailOsd(int i);
 
  private:
-  struct OsdBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<CephOsd> server;
-  };
-  struct ClientBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<CephClient> client;
-  };
-
+  // Builds the next OSD host and server and maps it; Start() is the caller's.
+  void AddOsdHost();
   void DisseminateMap(const std::map<uint32_t, sim::NodeId>& previous_primaries);
 
-  sim::EventLoop& loop_;
+  sim::EventLoop loop_;
   CephConfig config_;
   sim::Network net_;
   crush::Map map_;
   uint64_t epoch_ = 1;
   sim::NodeId next_osd_id_ = 3000;
-  std::vector<OsdBundle> osds_;
-  std::vector<ClientBundle> clients_;
+  std::deque<rpc::Host<CephOsd>> osds_;
+  std::deque<rpc::Host<CephClient>> clients_;
 };
 
 }  // namespace cheetah::baselines

@@ -448,49 +448,33 @@ sim::Task<Status> HaystackClient::Delete(std::string name) {
 
 // ---- cluster ----
 
-HaystackCluster::HaystackCluster(sim::EventLoop& loop, HaystackConfig config)
-    : loop_(loop), config_(std::move(config)), net_(loop, config_.net) {
+HaystackCluster::HaystackCluster(HaystackConfig config)
+    : config_(std::move(config)), net_(loop_, config_.net) {
   sim::NodeId next_id = 1000;
   std::vector<sim::NodeId> dir_nodes;
   for (int i = 0; i < config_.directory_machines; ++i) {
     dir_nodes.push_back(next_id + i);
   }
+  sim::MachineParams params;
+  params.disk = config_.disk;
   for (int i = 0; i < config_.directory_machines; ++i) {
-    DirBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, dir_nodes[i],
-                                               "hsdir" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<HaystackDirectory>(*b.rpc, config_, i == 0, dir_nodes);
-    dirs_.push_back(std::move(b));
+    auto& host = dirs_.emplace_back(loop_, net_, dir_nodes[i], "hsdir" + std::to_string(i),
+                                    params);
+    host.server = std::make_unique<HaystackDirectory>(host.rpc, config_, i == 0, dir_nodes);
   }
   next_id += config_.directory_machines;
   for (int i = 0; i < config_.store_machines; ++i) {
-    StoreBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, next_id + i,
-                                               "hstore" + std::to_string(i), params);
-    b.machine->disk(0).set_store_volume_content(config_.store_volume_content);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<HaystackStore>(*b.rpc, config_);
-    stores_.push_back(std::move(b));
+    auto& host = stores_.emplace_back(loop_, net_, next_id + i, "hstore" + std::to_string(i),
+                                      params);
+    host.machine.disk(0).set_store_volume_content(config_.store_volume_content);
+    host.server = std::make_unique<HaystackStore>(host.rpc, config_);
   }
   next_id += config_.store_machines;
   for (int i = 0; i < config_.client_machines; ++i) {
-    ClientBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, next_id + i,
-                                               "hsclient" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.client = std::make_unique<HaystackClient>(*b.rpc, config_, dirs_[0].machine->node_id(),
-                                                0xba5e + i);
-    clients_.push_back(std::move(b));
+    auto& host = clients_.emplace_back(loop_, net_, next_id + i, "hsclient" + std::to_string(i),
+                                       params);
+    host.server = std::make_unique<HaystackClient>(host.rpc, config_, dir_nodes[0],
+                                                   0xba5e + i);
   }
 
   // Logical volumes: anchor `volumes_per_store` per store, replicas on the
@@ -503,7 +487,7 @@ HaystackCluster::HaystackCluster(sim::EventLoop& loop, HaystackConfig config)
       info.capacity = config_.volume_capacity;
       for (uint32_t r = 0; r < config_.replication; ++r) {
         info.stores.push_back(
-            stores_[(s + r) % config_.store_machines].machine->node_id());
+            stores_[(s + r) % config_.store_machines].machine.node_id());
       }
       volumes_.push_back(std::move(info));
     }
@@ -513,37 +497,26 @@ HaystackCluster::HaystackCluster(sim::EventLoop& loop, HaystackConfig config)
 HaystackCluster::~HaystackCluster() = default;
 
 Status HaystackCluster::Boot() {
-  auto pending = std::make_shared<int>(static_cast<int>(dirs_.size()));
-  auto failed = std::make_shared<bool>(false);
   for (auto& d : dirs_) {
     d.server->InstallVolumes(volumes_);
-    d.machine->actor().Spawn(
-        [](HaystackDirectory* dir, std::shared_ptr<int> pending,
-           std::shared_ptr<bool> failed) -> sim::Task<> {
-          Status s = co_await dir->Start();
-          if (!s.ok()) {
-            *failed = true;
-          }
-          --*pending;
-        }(d.server.get(), pending, failed));
   }
-  for (auto& s : stores_) {
-    s.server->Start();
-  }
-  while (*pending > 0 && loop_.RunOne()) {
-  }
+  const bool started = rpc::StartAll(loop_, dirs_, [this] {
+    for (auto& s : stores_) {
+      s.server->Start();
+    }
+  });
   loop_.RunFor(Millis(10));
-  return *failed ? Status::Internal("directory failed to start") : Status::Ok();
+  return started ? Status::Ok() : Status::Internal("directory failed to start");
 }
 
 void HaystackCluster::TriggerCompactionAll() {
   for (auto& s : stores_) {
     for (const auto& vol : volumes_) {
-      if (std::find(vol.stores.begin(), vol.stores.end(), s.machine->node_id()) !=
+      if (std::find(vol.stores.begin(), vol.stores.end(), s.machine.node_id()) !=
           vol.stores.end()) {
         HsCompactRequest req;
         req.volume = vol.id;
-        clients_[0].rpc->Notify(s.machine->node_id(), std::move(req));
+        clients_[0].rpc.Notify(s.machine.node_id(), std::move(req));
       }
     }
   }

@@ -15,6 +15,7 @@
 #ifndef SRC_BASELINES_HAYSTACK_H_
 #define SRC_BASELINES_HAYSTACK_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,7 +25,7 @@
 #include "src/common/random.h"
 #include "src/kv/db.h"
 #include "src/obs/metrics.h"
-#include "src/rpc/node.h"
+#include "src/rpc/host.h"
 #include "src/workload/object_store.h"
 
 namespace cheetah::baselines {
@@ -268,14 +269,14 @@ class HaystackClient : public workload::ObjectStore {
 
 class HaystackCluster {
  public:
-  HaystackCluster(sim::EventLoop& loop, HaystackConfig config);
+  explicit HaystackCluster(HaystackConfig config);
   ~HaystackCluster();
 
   Status Boot();
 
   int num_clients() const { return static_cast<int>(clients_.size()); }
-  HaystackClient& client(int i) { return *clients_.at(i).client; }
-  sim::Actor& client_actor(int i) { return clients_.at(i).machine->actor(); }
+  HaystackClient& client(int i) { return *clients_.at(i).server; }
+  sim::Actor& client_actor(int i) { return clients_.at(i).machine.actor(); }
   HaystackStore& store(int i) { return *stores_.at(i).server; }
   int num_stores() const { return static_cast<int>(stores_.size()); }
 
@@ -286,28 +287,12 @@ class HaystackCluster {
   sim::EventLoop& loop() { return loop_; }
 
  private:
-  struct DirBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<HaystackDirectory> server;
-  };
-  struct StoreBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<HaystackStore> server;
-  };
-  struct ClientBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<HaystackClient> client;
-  };
-
-  sim::EventLoop& loop_;
+  sim::EventLoop loop_;
   HaystackConfig config_;
   sim::Network net_;
-  std::vector<DirBundle> dirs_;
-  std::vector<StoreBundle> stores_;
-  std::vector<ClientBundle> clients_;
+  std::deque<rpc::Host<HaystackDirectory>> dirs_;
+  std::deque<rpc::Host<HaystackStore>> stores_;
+  std::deque<rpc::Host<HaystackClient>> clients_;
   std::vector<HaystackDirectory::VolumeInfo> volumes_;
 };
 

@@ -385,8 +385,8 @@ sim::Task<Status> TectonicClient::Delete(std::string name) {
 
 // ---- cluster ----
 
-TectonicCluster::TectonicCluster(sim::EventLoop& loop, TectonicConfig config)
-    : loop_(loop), config_(std::move(config)), net_(loop, config_.net) {
+TectonicCluster::TectonicCluster(TectonicConfig config)
+    : config_(std::move(config)), net_(loop_, config_.net) {
   sim::NodeId next_id = 2000;
   std::vector<sim::NodeId> meta_nodes;
   std::vector<sim::NodeId> store_nodes;
@@ -396,64 +396,36 @@ TectonicCluster::TectonicCluster(sim::EventLoop& loop, TectonicConfig config)
   for (int i = 0; i < config_.store_machines; ++i) {
     store_nodes.push_back(next_id++);
   }
+  sim::MachineParams params;
+  params.disk = config_.disk;
   for (int i = 0; i < config_.meta_machines; ++i) {
-    MetaBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, meta_nodes[i],
-                                               "tnmeta" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<TectonicMetaServer>(*b.rpc, config_, store_nodes, i + 1);
-    metas_.push_back(std::move(b));
+    auto& host = metas_.emplace_back(loop_, net_, meta_nodes[i], "tnmeta" + std::to_string(i),
+                                     params);
+    host.server = std::make_unique<TectonicMetaServer>(host.rpc, config_, store_nodes, i + 1);
   }
   for (int i = 0; i < config_.store_machines; ++i) {
-    StoreBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, store_nodes[i],
-                                               "tnstore" + std::to_string(i), params);
-    b.machine->disk(0).set_store_volume_content(config_.store_volume_content);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.server = std::make_unique<TectonicStoreServer>(*b.rpc, config_);
-    stores_.push_back(std::move(b));
+    auto& host = stores_.emplace_back(loop_, net_, store_nodes[i],
+                                      "tnstore" + std::to_string(i), params);
+    host.machine.disk(0).set_store_volume_content(config_.store_volume_content);
+    host.server = std::make_unique<TectonicStoreServer>(host.rpc, config_);
   }
   for (int i = 0; i < config_.client_machines; ++i) {
-    ClientBundle b;
-    sim::MachineParams params;
-    params.disk = config_.disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, next_id + i,
-                                               "tnclient" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->Attach();
-    b.client = std::make_unique<TectonicClient>(*b.rpc, config_, meta_nodes, 0x7ec70 + i);
-    clients_.push_back(std::move(b));
+    auto& host = clients_.emplace_back(loop_, net_, next_id + i, "tnclient" + std::to_string(i),
+                                       params);
+    host.server = std::make_unique<TectonicClient>(host.rpc, config_, meta_nodes, 0x7ec70 + i);
   }
 }
 
 TectonicCluster::~TectonicCluster() = default;
 
 Status TectonicCluster::Boot() {
-  auto pending = std::make_shared<int>(static_cast<int>(metas_.size()));
-  auto failed = std::make_shared<bool>(false);
-  for (auto& m : metas_) {
-    m.machine->actor().Spawn([](TectonicMetaServer* server, std::shared_ptr<int> pending,
-                                std::shared_ptr<bool> failed) -> sim::Task<> {
-      Status s = co_await server->Start();
-      if (!s.ok()) {
-        *failed = true;
-      }
-      --*pending;
-    }(m.server.get(), pending, failed));
-  }
-  for (auto& s : stores_) {
-    s.server->Start();
-  }
-  while (*pending > 0 && loop_.RunOne()) {
-  }
+  const bool started = rpc::StartAll(loop_, metas_, [this] {
+    for (auto& s : stores_) {
+      s.server->Start();
+    }
+  });
   loop_.RunFor(Millis(10));
-  return *failed ? Status::Internal("tectonic meta failed to start") : Status::Ok();
+  return started ? Status::Ok() : Status::Internal("tectonic meta failed to start");
 }
 
 }  // namespace cheetah::baselines

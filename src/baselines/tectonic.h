@@ -10,13 +10,14 @@
 #ifndef SRC_BASELINES_TECTONIC_H_
 #define SRC_BASELINES_TECTONIC_H_
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/kv/db.h"
-#include "src/rpc/node.h"
+#include "src/rpc/host.h"
 #include "src/workload/object_store.h"
 
 namespace cheetah::baselines {
@@ -197,39 +198,23 @@ class TectonicClient : public workload::ObjectStore {
 
 class TectonicCluster {
  public:
-  TectonicCluster(sim::EventLoop& loop, TectonicConfig config);
+  explicit TectonicCluster(TectonicConfig config);
   ~TectonicCluster();
 
   Status Boot();
 
   int num_clients() const { return static_cast<int>(clients_.size()); }
-  TectonicClient& client(int i) { return *clients_.at(i).client; }
-  sim::Actor& client_actor(int i) { return clients_.at(i).machine->actor(); }
+  TectonicClient& client(int i) { return *clients_.at(i).server; }
+  sim::Actor& client_actor(int i) { return clients_.at(i).machine.actor(); }
   sim::EventLoop& loop() { return loop_; }
 
  private:
-  struct MetaBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<TectonicMetaServer> server;
-  };
-  struct StoreBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<TectonicStoreServer> server;
-  };
-  struct ClientBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<TectonicClient> client;
-  };
-
-  sim::EventLoop& loop_;
+  sim::EventLoop loop_;
   TectonicConfig config_;
   sim::Network net_;
-  std::vector<MetaBundle> metas_;
-  std::vector<StoreBundle> stores_;
-  std::vector<ClientBundle> clients_;
+  std::deque<rpc::Host<TectonicMetaServer>> metas_;
+  std::deque<rpc::Host<TectonicStoreServer>> stores_;
+  std::deque<rpc::Host<TectonicClient>> clients_;
 };
 
 }  // namespace cheetah::baselines

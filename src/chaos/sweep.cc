@@ -74,21 +74,11 @@ std::vector<std::string> ClientMix::Keys() const {
 bool Sweep::RunClients(const ClientMix& mix, uint64_t seed) {
   auto done = std::make_shared<int>(0);
   for (int w = 0; w < kMixWorkers; ++w) {
-    bed_.RunOnProxy(w, [this, mix, seed, w, done](core::ClientProxy& proxy) {
+    bed_.SpawnOnProxy(w, [this, mix, seed, w, done](core::ClientProxy& proxy) {
       return MixWorker(proxy, bed_.loop(), mix, seed, w, &history_, done);
-    }, Nanos{0});
+    });
   }
-  return RunUntilDone(*done, kMixWorkers);
-}
-
-bool Sweep::RunUntilDone(const int& done, int workers) {
-  const Nanos deadline = bed_.loop().Now() + Seconds(120);
-  while (done < workers && bed_.loop().Now() < deadline) {
-    if (!bed_.loop().RunOne()) {
-      break;
-    }
-  }
-  return done == workers;
+  return bed_.loop().RunUntilDone([&] { return *done == kMixWorkers; }, kClientBudget);
 }
 
 void Sweep::RestoreAll() {

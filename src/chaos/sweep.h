@@ -37,6 +37,9 @@ std::string DefaultPayload(int worker, int round, const std::string& key);
 constexpr int kMixWorkers = 3;
 constexpr int kMixKeys = 8;
 
+// Virtual time a sweep's client workers get to finish.
+constexpr Nanos kClientBudget = Seconds(120);
+
 // The recorded client workload. Worker w runs on proxy w with its own RNG
 // (seed * 1000003 + w). Each round picks one of the kMixKeys keys uniformly,
 // then puts (put_pct %), gets (get_pct %) or deletes (the rest), then sleeps
@@ -59,13 +62,10 @@ class Sweep {
   core::Testbed& bed() { return bed_; }
   History& history() { return history_; }
 
-  // Runs `mix` to completion (see RunUntilDone). True when every worker
-  // finished; a hung worker keeps recording if the loop runs on.
+  // Runs `mix` until every worker finishes or kClientBudget of virtual time
+  // passes. True when every worker finished; a hung worker keeps recording
+  // if the loop runs on.
   bool RunClients(const ClientMix& mix, uint64_t seed);
-
-  // Drives the loop until `done` reaches `workers` or 120 s of virtual time
-  // pass. True when every worker finished.
-  bool RunUntilDone(const int& done, int workers);
 
   // Heals partitions, clears link and gray faults, restarts every crashed
   // node, then lets recovery and the cleaner settle for 5 s.

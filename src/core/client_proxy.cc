@@ -84,7 +84,7 @@ sim::Task<> ClientProxy::HeartbeatLoop() {
         break;
       }
     }
-    co_await sim::SleepFor(options_.heartbeat_interval * 4);
+    co_await sim::SleepFor(kHeartbeatInterval * 4);
   }
 }
 
@@ -132,8 +132,8 @@ sim::Task<> ClientProxy::BackoffAndRefresh(int attempt) {
   // fast-fails while initializing; the draw (from the proxy's own seeded
   // RNG, so runs stay reproducible) decorrelates proxies so recovery traffic
   // doesn't stampede in lockstep.
-  const Nanos base = options_.backoff_base;
-  const Nanos cap = options_.backoff_cap;
+  const Nanos base = kBackoffBase;
+  const Nanos cap = kBackoffCap;
   const Nanos floor = std::min(cap, base << std::min(attempt, 10));
   const Nanos hi =
       std::max(floor, std::min(cap, 3 * std::max(backoff_, base)));
@@ -195,7 +195,7 @@ sim::Task<Status> ClientProxy::PutImpl(std::string name, std::string data) {
   const ReqId reqid = (static_cast<uint64_t>(proxy_id_) << 32) | next_req_++;
   bool re_meta = false;
   bool re_data = false;
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     Status s = co_await PutAttempt(name, data, checksum, reqid, re_meta, re_data);
     if (s.ok()) {
       counters_.puts->Add();
@@ -212,7 +212,7 @@ sim::Task<Status> ClientProxy::PutImpl(std::string name, std::string data) {
     } else if (s.IsOverloaded()) {
       // Admission-control pushback, not a failure: honor the server's
       // retry-after hint without escalating to RE-META or refreshing views.
-      co_await sim::SleepFor(qos::RetryAfterOf(s, options_.backoff_base));
+      co_await sim::SleepFor(qos::RetryAfterOf(s, kBackoffBase));
     } else if (s.code() == ErrorCode::kIoError) {
       re_data = true;  // a data server failed us mid-write (§5.3 RE-DATA)
       co_await BackoffAndRefresh(attempt);
@@ -365,7 +365,7 @@ sim::Task<Result<std::string>> ClientProxy::Get(std::string name) {
 
 sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
   CO_RETURN_IF_ERROR(co_await EnsureTopology());
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     const cluster::PgId pg = topo_.PgOf(name);
     const sim::NodeId primary = topo_.PrimaryOf(pg);
 
@@ -436,7 +436,7 @@ sim::Task<Result<std::string>> ClientProxy::GetImpl(std::string name) {
         co_await ChaseStaleView(meta.status());
       } else if (meta.status().IsOverloaded()) {
         co_await sim::SleepFor(
-            qos::RetryAfterOf(meta.status(), options_.backoff_base));
+            qos::RetryAfterOf(meta.status(), kBackoffBase));
       } else {
         co_await BackoffAndRefresh(attempt);
       }
@@ -494,7 +494,7 @@ sim::Task<Result<std::string>> ClientProxy::ReadData(const ObMeta& meta) {
     if (outcome != ReadOutcome::kOk) {
       continue;  // try another replica
     }
-    if (!damaged.empty() && options_.enable_read_repair) {
+    if (!damaged.empty()) {
       std::vector<Rewrite> writes;
       for (const Replica& d : damaged) {
         writes.push_back(Rewrite{d, r->data, meta.checksum});
@@ -595,20 +595,18 @@ sim::Task<Result<std::string>> ClientProxy::ReadEcData(const ObMeta& meta) {
   }
   counters_.ec_degraded_reads->Add();
 
-  if (options_.enable_read_repair) {
-    // Read-repair of the positively-damaged chunks, rebuilt from the
-    // survivors. A rebuilt chunk is written back only if its bytes match the
-    // CRC recorded in MetaX — a reconstruction racing a demotion swap can
-    // never plant garbage.
-    std::vector<Rewrite> writes;
-    auto rebuilt = tier::ReconstructChunks(st->chunks, k, m);
-    for (size_t j = 0; rebuilt.ok() && j < set->size(); ++j) {
-      if (st->damaged[j] && Crc32c((*rebuilt)[j]) == meta.chunk_crcs[j]) {
-        writes.push_back(Rewrite{(*set)[j], std::move((*rebuilt)[j]), meta.chunk_crcs[j]});
-      }
+  // Read-repair of the positively-damaged chunks, rebuilt from the
+  // survivors. A rebuilt chunk is written back only if its bytes match the
+  // CRC recorded in MetaX — a reconstruction racing a demotion swap can
+  // never plant garbage.
+  std::vector<Rewrite> writes;
+  auto rebuilt = tier::ReconstructChunks(st->chunks, k, m);
+  for (size_t j = 0; rebuilt.ok() && j < set->size(); ++j) {
+    if (st->damaged[j] && Crc32c((*rebuilt)[j]) == meta.chunk_crcs[j]) {
+      writes.push_back(Rewrite{(*set)[j], std::move((*rebuilt)[j]), meta.chunk_crcs[j]});
     }
-    SpawnReadRepair(std::move(*set), std::move(writes), counters_.ec_chunk_repairs);
   }
+  SpawnReadRepair(std::move(*set), std::move(writes), counters_.ec_chunk_repairs);
   co_return std::move(*decoded);
 }
 
@@ -643,7 +641,7 @@ sim::Task<Status> ClientProxy::DeleteImpl(std::string name) {
   CO_RETURN_IF_ERROR(co_await EnsureTopology());
   meta_cache_.erase(name);
   const ReqId reqid = (static_cast<uint64_t>(proxy_id_) << 32) | next_req_++;
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     const cluster::PgId pg = topo_.PgOf(name);
     const sim::NodeId primary = topo_.PrimaryOf(pg);
     DeleteRequest req;
@@ -667,7 +665,7 @@ sim::Task<Status> ClientProxy::DeleteImpl(std::string name) {
       co_await ChaseStaleView(r.status());
     } else if (r.status().IsOverloaded()) {
       co_await sim::SleepFor(
-          qos::RetryAfterOf(r.status(), options_.backoff_base));
+          qos::RetryAfterOf(r.status(), kBackoffBase));
     } else {
       co_await BackoffAndRefresh(attempt);
     }

@@ -138,6 +138,9 @@ class ClientProxy {
 
   // Fire-and-forget maintenance-class rewrite of damaged replicas from the
   // verified bytes a get just returned; `repaired` counts the writes that land.
+  // The get's latency never waits on the repair. Deletes stay safe: repair
+  // only touches the data plane, and object visibility is governed entirely
+  // by MetaX tombstones.
   void SpawnReadRepair(ReplicaSet set, std::vector<Rewrite> writes, obs::Counter* repaired);
 
   sim::Task<Result<MetaPersistedAck>> HandlePersisted(sim::NodeId src,

@@ -70,7 +70,7 @@ void DataServer::Start() {
 sim::Task<> DataServer::ChargeFsOverhead(uint32_t disk_index) {
   if (options_.fs_backed_data) {
     // One extra metadata write (journal/inode) per file-backed data op.
-    co_await DiskFor(disk_index).ChargeWrite(options_.fs_overhead_bytes);
+    co_await DiskFor(disk_index).ChargeWrite(kFsOverheadBytes);
   }
 }
 
@@ -240,7 +240,7 @@ sim::Task<> DataServer::HeartbeatLoop() {
         break;
       }
     }
-    co_await sim::SleepFor(options_.heartbeat_interval);
+    co_await sim::SleepFor(kHeartbeatInterval);
   }
 }
 

@@ -1124,7 +1124,7 @@ sim::Task<> MetaServer::HeartbeatLoop() {
       hb.node = rpc_.id();
       hb.kind = cluster::ServerKind::kMetaServer;
       hb.view = topo_.view;
-      auto r = co_await rpc_.Call(mgr, std::move(hb), options_.heartbeat_interval / 2);
+      auto r = co_await rpc_.Call(mgr, std::move(hb), kHeartbeatInterval / 2);
       if (!r.ok() || !r->is_leader) {
         continue;
       }
@@ -1143,7 +1143,7 @@ sim::Task<> MetaServer::HeartbeatLoop() {
       }
       break;
     }
-    co_await sim::SleepFor(options_.heartbeat_interval);
+    co_await sim::SleepFor(kHeartbeatInterval);
   }
 }
 
@@ -1153,7 +1153,7 @@ sim::Task<> MetaServer::TierNow() { return tier_->TierAll(); }
 
 sim::Task<> MetaServer::CleanerLoop() {
   for (;;) {
-    co_await sim::SleepFor(options_.log_clean_interval);
+    co_await sim::SleepFor(kLogCleanInterval);
     co_await CleanLogs();
   }
 }
@@ -1171,7 +1171,7 @@ sim::Task<> MetaServer::CleanLogs() {
     }
     if (p.committed && p.persisted) {
       committed.push_back(reqid);
-    } else if (now - p.born > options_.pending_put_timeout) {
+    } else if (now - p.born > kPendingPutTimeout) {
       stale.push_back(reqid);
     }
   }

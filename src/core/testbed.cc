@@ -1,6 +1,7 @@
 #include "src/core/testbed.h"
 
 #include <cassert>
+#include <type_traits>
 
 #include "src/common/logging.h"
 
@@ -14,91 +15,77 @@ constexpr sim::NodeId kProxyBase = 300;
 Testbed::Testbed(TestbedConfig config) : config_(std::move(config)), net_(loop_, config_.net) {
   // Managers (the paper co-locates them with the clients; node identity is
   // what matters here).
-  raft::Config raft_config;
   for (int i = 0; i < config_.managers; ++i) {
     manager_nodes_.push_back(kManagerBase + i);
-    raft_config.members.push_back(kManagerBase + i);
   }
+  raft::Config raft_config;
+  raft_config.members = manager_nodes_;
+  sim::MachineParams params;
+  params.disk = config_.meta_disk;
   for (int i = 0; i < config_.managers; ++i) {
-    ManagerBundle b;
-    sim::MachineParams params;
-    params.disk = config_.meta_disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, manager_nodes_[i],
-                                               "manager" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->SetHandlerCosts(config_.handler_costs);
-    b.rpc->Attach();
-    b.manager = std::make_unique<cluster::Manager>(*b.rpc, b.machine->disk(), raft_config,
-                                                   config_.manager, 0xa11ce + i);
-    managers_.push_back(std::move(b));
+    auto& host = managers_.emplace_back(loop_, net_, manager_nodes_[i],
+                                        "manager" + std::to_string(i), params,
+                                        config_.handler_costs);
+    host.server = std::make_unique<cluster::Manager>(host.rpc, host.machine.disk(), raft_config,
+                                                     0xa11ce + i);
   }
   for (int i = 0; i < config_.meta_machines; ++i) {
-    metas_.push_back(MakeMetaBundle(next_meta_id_++, i));
+    AddMetaHost(i);
   }
   for (int i = 0; i < config_.data_machines; ++i) {
-    datas_.push_back(MakeDataBundle(next_data_id_++, config_.disks_per_data_machine));
+    AddDataHost(config_.disks_per_data_machine);
   }
   for (int i = 0; i < config_.proxies; ++i) {
-    ProxyBundle b;
-    sim::MachineParams params;
-    params.disk = config_.meta_disk;
-    b.machine = std::make_unique<sim::Machine>(loop_, kProxyBase + i,
-                                               "proxy" + std::to_string(i), params);
-    b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-    b.rpc->SetHandlerCosts(config_.handler_costs);
-    b.rpc->Attach();
-    b.proxy = std::make_unique<ClientProxy>(*b.rpc, config_.options, manager_nodes_,
-                                            static_cast<uint32_t>(i + 1));
-    proxies_.push_back(std::move(b));
+    auto& host = proxies_.emplace_back(loop_, net_, kProxyBase + i, "proxy" + std::to_string(i),
+                                       params, config_.handler_costs);
+    host.server = std::make_unique<ClientProxy>(host.rpc, config_.options, manager_nodes_,
+                                                static_cast<uint32_t>(i + 1));
   }
 }
 
 Testbed::~Testbed() = default;
 
-Testbed::MetaBundle Testbed::MakeMetaBundle(sim::NodeId id, int seed) {
-  MetaBundle b;
+rpc::Host<MetaServer>& Testbed::AddMetaHost(int seed) {
+  const sim::NodeId id = next_meta_id_++;
   sim::MachineParams params;
   params.num_disks = 1;
   params.disk = config_.meta_disk;
   if (config_.meta_cpu_cores > 0) {
     params.cpu_cores = config_.meta_cpu_cores;
   }
-  b.machine = std::make_unique<sim::Machine>(loop_, id, "meta" + std::to_string(id), params);
-  b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-  b.rpc->SetHandlerCosts(config_.handler_costs);
-  if (config_.options.qos.enabled) {
-    b.sched = std::make_unique<qos::Scheduler>(loop_, id, config_.options.qos);
-    b.rpc->SetScheduler(b.sched.get());
-  }
-  b.rpc->Attach();
-  b.server = std::make_unique<MetaServer>(*b.rpc, config_.options, manager_nodes_,
-                                          0x5eed + seed);
-  return b;
+  auto& host = metas_.emplace_back(loop_, net_, id, "meta" + std::to_string(id), params,
+                                   config_.handler_costs, config_.options.qos);
+  host.server = std::make_unique<MetaServer>(host.rpc, config_.options, manager_nodes_,
+                                             0x5eed + seed);
+  return host;
 }
 
-Testbed::DataBundle Testbed::MakeDataBundle(sim::NodeId id, uint32_t disks) {
-  DataBundle b;
+rpc::Host<DataServer>& Testbed::AddDataHost(uint32_t disks) {
+  const sim::NodeId id = next_data_id_++;
   sim::MachineParams params;
   params.num_disks = static_cast<int>(disks);
   params.disk = config_.data_disk;
-  b.machine = std::make_unique<sim::Machine>(loop_, id, "data" + std::to_string(id), params);
-  for (size_t d = 0; d < b.machine->num_disks(); ++d) {
-    b.machine->disk(d).set_store_volume_content(config_.store_volume_content);
+  auto& host = datas_.emplace_back(loop_, net_, id, "data" + std::to_string(id), params,
+                                   config_.handler_costs, config_.options.qos);
+  for (size_t d = 0; d < host.machine.num_disks(); ++d) {
+    host.machine.disk(d).set_store_volume_content(config_.store_volume_content);
   }
-  b.rpc = std::make_unique<rpc::Node>(*b.machine, net_);
-  b.rpc->SetHandlerCosts(config_.handler_costs);
-  if (config_.options.qos.enabled) {
-    b.sched = std::make_unique<qos::Scheduler>(loop_, id, config_.options.qos);
-    b.rpc->SetScheduler(b.sched.get());
-  }
-  b.rpc->Attach();
-  b.server = std::make_unique<DataServer>(*b.rpc, config_.options, manager_nodes_);
-  return b;
+  host.server = std::make_unique<DataServer>(host.rpc, config_.options, manager_nodes_);
+  return host;
+}
+
+void Testbed::StartManager(int i) {
+  managers_.at(i).machine.actor().Spawn([](cluster::Manager* mgr) -> sim::Task<> {
+    Status s = co_await mgr->Start();
+    if (!s.ok()) {
+      LOG_ERROR << "manager start failed: " << s.ToString();
+    }
+  }(&manager(i)));
 }
 
 int Testbed::LeaderManager() const {
   for (size_t i = 0; i < managers_.size(); ++i) {
-    if (managers_[i].machine->alive() && managers_[i].manager->is_raft_leader()) {
+    if (managers_[i].machine.alive() && managers_[i].server->is_raft_leader()) {
       return static_cast<int>(i);
     }
   }
@@ -113,19 +100,15 @@ Status Testbed::RunManagerAction(std::function<sim::Task<Status>(cluster::Manage
       continue;
     }
     auto result = std::make_shared<Result<int>>(Status::Internal("unresolved"));
-    managers_[leader].machine->actor().Spawn(
+    managers_[leader].machine.actor().Spawn(
         [](cluster::Manager* m, std::function<sim::Task<Status>(cluster::Manager&)> action,
            std::shared_ptr<Result<int>> out) -> sim::Task<> {
           Status s = co_await action(*m);
           *out = s.ok() ? Result<int>(1) : Result<int>(s);
-        }(managers_[leader].manager.get(), action, result));
-    const Nanos deadline = loop_.Now() + Seconds(10);
-    while (!result->ok() && result->status().code() == ErrorCode::kInternal &&
-           loop_.Now() < deadline) {
-      if (!loop_.RunOne()) {
-        break;
-      }
-    }
+        }(&manager(leader), action, result));
+    loop_.RunUntilDone(
+        [&] { return result->ok() || result->status().code() != ErrorCode::kInternal; },
+        Seconds(10));
     if (result->ok()) {
       return Status::Ok();
     }
@@ -142,25 +125,20 @@ bool Testbed::SpawnManagerAction(std::function<sim::Task<Status>(cluster::Manage
   if (leader < 0) {
     return false;
   }
-  managers_[leader].machine->actor().Spawn(
+  managers_[leader].machine.actor().Spawn(
       [](cluster::Manager* m,
          std::function<sim::Task<Status>(cluster::Manager&)> action) -> sim::Task<> {
         Status s = co_await action(*m);
         if (!s.ok()) {
           LOG_DEBUG << "manager action: " << s.ToString();
         }
-      }(managers_[leader].manager.get(), std::move(action)));
+      }(&manager(leader), std::move(action)));
   return true;
 }
 
 Status Testbed::Boot() {
-  for (auto& m : managers_) {
-    m.machine->actor().Spawn([](cluster::Manager* mgr) -> sim::Task<> {
-      Status s = co_await mgr->Start();
-      if (!s.ok()) {
-        LOG_ERROR << "manager start failed: " << s.ToString();
-      }
-    }(m.manager.get()));
+  for (int i = 0; i < num_managers(); ++i) {
+    StartManager(i);
   }
   // Elect a leader.
   const Nanos deadline = loop_.Now() + Seconds(10);
@@ -175,10 +153,10 @@ Status Testbed::Boot() {
   spec.pg_count = config_.pg_count;
   spec.replication = config_.replication;
   for (auto& m : metas_) {
-    spec.meta_servers.push_back(m.machine->node_id());
+    spec.meta_servers.push_back(m.machine.node_id());
   }
   for (auto& d : datas_) {
-    spec.data_servers.push_back(d.machine->node_id());
+    spec.data_servers.push_back(d.machine.node_id());
   }
   spec.disks_per_data_server = config_.disks_per_data_machine;
   spec.pvs_per_disk = config_.pvs_per_disk;
@@ -197,7 +175,7 @@ Status Testbed::Boot() {
     d.server->Start();
   }
   for (auto& p : proxies_) {
-    p.proxy->Start();
+    p.server->Start();
   }
   loop_.RunFor(config_.boot_warmup);
 
@@ -207,23 +185,6 @@ Status Testbed::Boot() {
     }
   }
   return Status::Ok();
-}
-
-bool Testbed::RunOnProxy(int i, std::function<sim::Task<>(ClientProxy&)> body, Nanos budget) {
-  auto done = std::make_shared<bool>(false);
-  proxies_.at(i).machine->actor().Spawn(
-      [](ClientProxy* proxy, std::function<sim::Task<>(ClientProxy&)> body,
-         std::shared_ptr<bool> done) -> sim::Task<> {
-        co_await body(*proxy);
-        *done = true;
-      }(proxies_.at(i).proxy.get(), std::move(body), done));
-  const Nanos deadline = loop_.Now() + budget;
-  while (!*done && loop_.Now() < deadline) {
-    if (!loop_.RunOne()) {
-      break;
-    }
-  }
-  return *done;
 }
 
 Status Testbed::PutObject(int proxy, std::string name, std::string data) {
@@ -257,108 +218,58 @@ Status Testbed::DeleteObject(int proxy, std::string name) {
   return done ? *result : Status::Timeout("delete did not resolve in budget");
 }
 
-void Testbed::CrashMetaMachine(int i, bool power_loss) {
-  auto& b = metas_.at(i);
-  if (power_loss) {
-    b.machine->PowerFailure();
-  } else {
-    b.machine->CrashProcess();
-  }
-  b.rpc->Detach();
-}
+void Testbed::CrashMetaMachine(int i, bool power_loss) { metas_.at(i).Crash(power_loss); }
 
 void Testbed::RestartMetaMachine(int i) {
-  auto& b = metas_.at(i);
-  b.machine->Restart();
-  if (config_.options.qos.enabled) {
-    b.sched = std::make_unique<qos::Scheduler>(loop_, b.machine->node_id(),
-                                               config_.options.qos);
-    b.rpc->SetScheduler(b.sched.get());
-  }
-  b.rpc->Attach();
-  b.server = std::make_unique<MetaServer>(*b.rpc, config_.options, manager_nodes_,
-                                          0xfeed + i);
-  b.server->Start();
+  auto& host = metas_.at(i);
+  host.Revive();
+  host.server = std::make_unique<MetaServer>(host.rpc, config_.options, manager_nodes_,
+                                             0xfeed + i);
+  host.server->Start();
 }
 
-void Testbed::CrashDataMachine(int i, bool power_loss) {
-  auto& b = datas_.at(i);
-  if (power_loss) {
-    b.machine->PowerFailure();
-  } else {
-    b.machine->CrashProcess();
-  }
-  b.rpc->Detach();
-}
+void Testbed::CrashDataMachine(int i, bool power_loss) { datas_.at(i).Crash(power_loss); }
 
 void Testbed::RestartDataMachine(int i) {
-  auto& b = datas_.at(i);
-  b.machine->Restart();
-  if (config_.options.qos.enabled) {
-    b.sched = std::make_unique<qos::Scheduler>(loop_, b.machine->node_id(),
-                                               config_.options.qos);
-    b.rpc->SetScheduler(b.sched.get());
-  }
-  b.rpc->Attach();
-  b.server = std::make_unique<DataServer>(*b.rpc, config_.options, manager_nodes_);
-  b.server->Start();
+  auto& host = datas_.at(i);
+  host.Revive();
+  host.server = std::make_unique<DataServer>(host.rpc, config_.options, manager_nodes_);
+  host.server->Start();
 }
 
-void Testbed::CrashProxy(int i) {
-  auto& b = proxies_.at(i);
-  b.machine->CrashProcess();
-  b.rpc->Detach();
-}
+void Testbed::CrashProxy(int i) { proxies_.at(i).Crash(/*power_loss=*/false); }
 
 void Testbed::RestartProxy(int i) {
-  auto& b = proxies_.at(i);
-  b.machine->Restart();
-  b.rpc->Attach();
-  b.proxy = std::make_unique<ClientProxy>(*b.rpc, config_.options, manager_nodes_,
-                                          static_cast<uint32_t>(i + 1));
-  b.proxy->Start();
+  auto& host = proxies_.at(i);
+  host.Revive();
+  host.server = std::make_unique<ClientProxy>(host.rpc, config_.options, manager_nodes_,
+                                              static_cast<uint32_t>(i + 1));
+  host.server->Start();
 }
 
-void Testbed::CrashManager(int i, bool power_loss) {
-  auto& b = managers_.at(i);
-  if (power_loss) {
-    b.machine->PowerFailure();
-  } else {
-    b.machine->CrashProcess();
-  }
-  b.rpc->Detach();
-}
+void Testbed::CrashManager(int i, bool power_loss) { managers_.at(i).Crash(power_loss); }
 
 void Testbed::RestartManager(int i) {
-  auto& b = managers_.at(i);
-  b.machine->Restart();
-  b.rpc->Attach();
+  auto& host = managers_.at(i);
+  host.Revive();
   raft::Config raft_config;
   raft_config.members = manager_nodes_;
-  b.manager = std::make_unique<cluster::Manager>(*b.rpc, b.machine->disk(), raft_config,
-                                                 config_.manager, 0xbeef + i);
-  b.machine->actor().Spawn([](cluster::Manager* mgr) -> sim::Task<> {
-    Status s = co_await mgr->Start();
-    if (!s.ok()) {
-      LOG_ERROR << "manager restart failed: " << s.ToString();
-    }
-  }(b.manager.get()));
+  host.server = std::make_unique<cluster::Manager>(host.rpc, host.machine.disk(), raft_config,
+                                                   0xbeef + i);
+  StartManager(i);
 }
 
 std::vector<sim::NodeId> Testbed::AllNodes() const {
   std::vector<sim::NodeId> out;
-  for (const auto& m : managers_) {
-    out.push_back(m.machine->node_id());
-  }
-  for (const auto& m : metas_) {
-    out.push_back(m.machine->node_id());
-  }
-  for (const auto& d : datas_) {
-    out.push_back(d.machine->node_id());
-  }
-  for (const auto& p : proxies_) {
-    out.push_back(p.machine->node_id());
-  }
+  auto add = [&out](const auto& hosts) {
+    for (const auto& host : hosts) {
+      out.push_back(host.machine.node_id());
+    }
+  };
+  add(managers_);
+  add(metas_);
+  add(datas_);
+  add(proxies_);
   return out;
 }
 
@@ -370,80 +281,49 @@ void Testbed::Isolate(sim::NodeId node) {
   }
 }
 
+template <typename Fn>
+void Testbed::VisitHost(sim::NodeId node, Fn fn) {
+  auto visit = [&](auto& hosts) {
+    for (size_t i = 0; i < hosts.size(); ++i) {
+      if (hosts[i].machine.node_id() == node) {
+        fn(hosts[i], static_cast<int>(i));
+        return true;
+      }
+    }
+    return false;
+  };
+  (void)(visit(metas_) || visit(datas_) || visit(managers_) || visit(proxies_));
+}
+
 void Testbed::Crash(sim::NodeId node, bool power_loss) {
-  for (size_t i = 0; i < metas_.size(); ++i) {
-    if (metas_[i].machine->node_id() == node) {
-      if (metas_[i].machine->alive()) {
-        CrashMetaMachine(static_cast<int>(i), power_loss);
-      }
-      return;
+  VisitHost(node, [power_loss]<typename Server>(rpc::Host<Server>& host, int) {
+    if (host.machine.alive()) {
+      host.Crash(power_loss && !std::is_same_v<Server, ClientProxy>);
     }
-  }
-  for (size_t i = 0; i < datas_.size(); ++i) {
-    if (datas_[i].machine->node_id() == node) {
-      if (datas_[i].machine->alive()) {
-        CrashDataMachine(static_cast<int>(i), power_loss);
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < managers_.size(); ++i) {
-    if (managers_[i].machine->node_id() == node) {
-      if (managers_[i].machine->alive()) {
-        CrashManager(static_cast<int>(i), power_loss);
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    if (proxies_[i].machine->node_id() == node) {
-      if (proxies_[i].machine->alive()) {
-        CrashProxy(static_cast<int>(i));
-      }
-      return;
-    }
-  }
+  });
 }
 
 void Testbed::Restart(sim::NodeId node) {
-  for (size_t i = 0; i < metas_.size(); ++i) {
-    if (metas_[i].machine->node_id() == node) {
-      if (!metas_[i].machine->alive()) {
-        RestartMetaMachine(static_cast<int>(i));
-      }
+  VisitHost(node, [this]<typename Server>(rpc::Host<Server>& host, int i) {
+    if (host.machine.alive()) {
       return;
     }
-  }
-  for (size_t i = 0; i < datas_.size(); ++i) {
-    if (datas_[i].machine->node_id() == node) {
-      if (!datas_[i].machine->alive()) {
-        RestartDataMachine(static_cast<int>(i));
-      }
-      return;
+    if constexpr (std::is_same_v<Server, MetaServer>) {
+      RestartMetaMachine(i);
+    } else if constexpr (std::is_same_v<Server, DataServer>) {
+      RestartDataMachine(i);
+    } else if constexpr (std::is_same_v<Server, cluster::Manager>) {
+      RestartManager(i);
+    } else {
+      RestartProxy(i);
     }
-  }
-  for (size_t i = 0; i < managers_.size(); ++i) {
-    if (managers_[i].machine->node_id() == node) {
-      if (!managers_[i].machine->alive()) {
-        RestartManager(static_cast<int>(i));
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    if (proxies_[i].machine->node_id() == node) {
-      if (!proxies_[i].machine->alive()) {
-        RestartProxy(static_cast<int>(i));
-      }
-      return;
-    }
-  }
+  });
 }
 
 Result<int> Testbed::AddMetaMachine(bool settle) {
-  metas_.push_back(MakeMetaBundle(next_meta_id_, static_cast<int>(metas_.size())));
-  const sim::NodeId id = next_meta_id_++;
-  metas_.back().server->Start();
+  auto& host = AddMetaHost(num_meta());
+  const sim::NodeId id = host.machine.node_id();
+  host.server->Start();
   Status s = RunManagerAction(
       [id](cluster::Manager& m) { return m.AddMetaServer(id); });
   if (!s.ok()) {
@@ -456,18 +336,18 @@ Result<int> Testbed::AddMetaMachine(bool settle) {
 }
 
 int Testbed::BeginAddMetaMachine() {
-  metas_.push_back(MakeMetaBundle(next_meta_id_, static_cast<int>(metas_.size())));
-  const sim::NodeId id = next_meta_id_++;
-  metas_.back().server->Start();
+  auto& host = AddMetaHost(num_meta());
+  const sim::NodeId id = host.machine.node_id();
+  host.server->Start();
   (void)SpawnManagerAction(
       [id](cluster::Manager& m) { return m.AddMetaServer(id); });
   return static_cast<int>(metas_.size() - 1);
 }
 
 int Testbed::BeginAddDataMachine(uint32_t disks, uint32_t pvs_per_disk) {
-  datas_.push_back(MakeDataBundle(next_data_id_, disks));
-  const sim::NodeId id = next_data_id_++;
-  datas_.back().server->Start();
+  auto& host = AddDataHost(disks);
+  const sim::NodeId id = host.machine.node_id();
+  host.server->Start();
   (void)SpawnManagerAction([id, disks, pvs_per_disk](cluster::Manager& m) {
     return m.AddDataServer(id, disks, pvs_per_disk);
   });
@@ -489,7 +369,7 @@ Status Testbed::DrainMetaMachine(int i, Nanos budget) {
   while (loop_.Now() < deadline) {
     const int leader = LeaderManager();
     if (leader >= 0) {
-      const cluster::TopologyMap& topo = managers_[leader].manager->topology();
+      const cluster::TopologyMap& topo = manager(leader).topology();
       if (topo.IsRetired(node)) {
         return Status::Ok();
       }
@@ -504,9 +384,9 @@ Status Testbed::DrainMetaMachine(int i, Nanos budget) {
 }
 
 Result<int> Testbed::AddDataMachine(uint32_t disks, uint32_t pvs_per_disk) {
-  datas_.push_back(MakeDataBundle(next_data_id_, disks));
-  const sim::NodeId id = next_data_id_++;
-  datas_.back().server->Start();
+  auto& host = AddDataHost(disks);
+  const sim::NodeId id = host.machine.node_id();
+  host.server->Start();
   Status s = RunManagerAction([id, disks, pvs_per_disk](cluster::Manager& m) {
     return m.AddDataServer(id, disks, pvs_per_disk);
   });

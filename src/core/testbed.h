@@ -5,6 +5,7 @@
 #ifndef SRC_CORE_TESTBED_H_
 #define SRC_CORE_TESTBED_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -16,7 +17,7 @@
 #include "src/core/meta_server.h"
 #include "src/core/options.h"
 #include "src/qos/scheduler.h"
-#include "src/rpc/node.h"
+#include "src/rpc/host.h"
 
 namespace cheetah::core {
 
@@ -46,7 +47,6 @@ struct TestbedConfig {
   sim::NetParams net;
   sim::DiskParams data_disk;
   sim::DiskParams meta_disk;
-  cluster::ManagerConfig manager;
 
   // Store object payloads byte-for-byte (tests) or metadata-only (benches).
   bool store_volume_content = true;
@@ -73,26 +73,26 @@ class Testbed {
   int num_meta() const { return static_cast<int>(metas_.size()); }
   int num_data() const { return static_cast<int>(datas_.size()); }
   int num_managers() const { return static_cast<int>(managers_.size()); }
-  ClientProxy& proxy(int i) { return *proxies_.at(i).proxy; }
+  ClientProxy& proxy(int i) { return *proxies_.at(i).server; }
   MetaServer& meta(int i) { return *metas_.at(i).server; }
   DataServer& data(int i) { return *datas_.at(i).server; }
-  cluster::Manager& manager(int i) { return *managers_.at(i).manager; }
-  sim::Machine& meta_machine(int i) { return *metas_.at(i).machine; }
-  sim::Machine& data_machine(int i) { return *datas_.at(i).machine; }
-  sim::Machine& proxy_machine(int i) { return *proxies_.at(i).machine; }
-  sim::Machine& manager_machine(int i) { return *managers_.at(i).machine; }
-  rpc::Node& proxy_rpc(int i) { return *proxies_.at(i).rpc; }  // protocol tests
-  rpc::Node& meta_rpc(int i) { return *metas_.at(i).rpc; }
+  cluster::Manager& manager(int i) { return *managers_.at(i).server; }
+  sim::Machine& meta_machine(int i) { return metas_.at(i).machine; }
+  sim::Machine& data_machine(int i) { return datas_.at(i).machine; }
+  sim::Machine& proxy_machine(int i) { return proxies_.at(i).machine; }
+  sim::Machine& manager_machine(int i) { return managers_.at(i).machine; }
+  rpc::Node& proxy_rpc(int i) { return proxies_.at(i).rpc; }  // protocol tests
+  rpc::Node& meta_rpc(int i) { return metas_.at(i).rpc; }
 
   // Null when options.qos.enabled is false.
   qos::Scheduler* meta_scheduler(int i) { return metas_.at(i).sched.get(); }
   qos::Scheduler* data_scheduler(int i) { return datas_.at(i).sched.get(); }
 
   // Node ids, for schedule/partition composition by role + index.
-  sim::NodeId meta_node(int i) const { return metas_.at(i).machine->node_id(); }
-  sim::NodeId data_node(int i) const { return datas_.at(i).machine->node_id(); }
+  sim::NodeId meta_node(int i) const { return metas_.at(i).machine.node_id(); }
+  sim::NodeId data_node(int i) const { return datas_.at(i).machine.node_id(); }
   sim::NodeId manager_node(int i) const { return manager_nodes_.at(i); }
-  sim::NodeId proxy_node(int i) const { return proxies_.at(i).machine->node_id(); }
+  sim::NodeId proxy_node(int i) const { return proxies_.at(i).machine.node_id(); }
   std::vector<sim::NodeId> AllNodes() const;
 
   // Returns the current Raft-leader manager, or -1.
@@ -103,15 +103,33 @@ class Testbed {
   Result<std::string> GetObject(int proxy, std::string name);
   Status DeleteObject(int proxy, std::string name);
 
-  // Spawns `task` on proxy i's actor and runs the loop until it resolves or
-  // `budget` virtual time elapses. Returns false on budget exhaustion.
-  bool RunOnProxy(int i, std::function<sim::Task<>(ClientProxy&)> body,
-                  Nanos budget = Seconds(30));
+  // Spawns `body(proxy(i))` on proxy i's actor without driving the loop. The
+  // callable moves into the spawned coroutine's frame, so a capturing
+  // coroutine lambda stays alive for as long as its body runs.
+  template <typename Body>
+  void SpawnOnProxy(int i, Body body) {
+    proxies_.at(i).machine.actor().Spawn(
+        [](ClientProxy* proxy, Body body) -> sim::Task<> { co_await body(*proxy); }(
+            &proxy(i), std::move(body)));
+  }
+
+  // SpawnOnProxy, then runs the loop until the body returns or `budget`
+  // virtual time elapses. Returns false on budget exhaustion.
+  template <typename Body>
+  bool RunOnProxy(int i, Body body, Nanos budget = Seconds(30)) {
+    auto done = std::make_shared<bool>(false);
+    SpawnOnProxy(i, [body = std::move(body), done](ClientProxy& proxy) -> sim::Task<> {
+      co_await body(proxy);
+      *done = true;
+    });
+    return loop_.RunUntilDone([&] { return *done; }, budget);
+  }
 
   // Runs the loop for `d` of virtual time (background activity continues).
   void RunFor(Nanos d) { loop_.RunFor(d); }
 
   // ---- failure injection ----
+  // A proxy keeps nothing on disk, so it always crashes process-only.
   void CrashMetaMachine(int i, bool power_loss);
   void RestartMetaMachine(int i);
   void CrashDataMachine(int i, bool power_loss);
@@ -126,6 +144,7 @@ class Testbed {
   void Partition(sim::NodeId a, sim::NodeId b) { net_.SetPartitioned(a, b, true); }
   void Isolate(sim::NodeId node);   // partition `node` from every other node
   void Heal() { net_.ClearPartitions(); }
+  // No-ops on a node that is already down (Crash) or up (Restart).
   void Crash(sim::NodeId node, bool power_loss = false);
   void Restart(sim::NodeId node);
 
@@ -166,33 +185,15 @@ class Testbed {
   std::vector<sim::NodeId> manager_nodes() const { return manager_nodes_; }
 
  private:
-  struct ManagerBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<cluster::Manager> manager;
-  };
-  // `sched` is declared before `rpc`: ~Node calls Scheduler::Reset(), so the
-  // scheduler must be destroyed after the node.
-  struct MetaBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<qos::Scheduler> sched;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<MetaServer> server;
-  };
-  struct DataBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<qos::Scheduler> sched;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<DataServer> server;
-  };
-  struct ProxyBundle {
-    std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<rpc::Node> rpc;
-    std::unique_ptr<ClientProxy> proxy;
-  };
-
-  MetaBundle MakeMetaBundle(sim::NodeId id, int seed);
-  DataBundle MakeDataBundle(sim::NodeId id, uint32_t disks);
+  // Builds the next meta or data host and its server; Start() is the
+  // caller's.
+  rpc::Host<MetaServer>& AddMetaHost(int seed);
+  rpc::Host<DataServer>& AddDataHost(uint32_t disks);
+  // Spawns manager i's Start() on its actor.
+  void StartManager(int i);
+  // Calls fn(host, index) on the host of `node`, whichever role it has.
+  template <typename Fn>
+  void VisitHost(sim::NodeId node, Fn fn);
 
   // Spawns `pass` on every meta server's actor; returns the count of passes
   // still running.
@@ -208,10 +209,11 @@ class Testbed {
   sim::EventLoop loop_;
   sim::Network net_;
   std::vector<sim::NodeId> manager_nodes_;
-  std::vector<ManagerBundle> managers_;
-  std::vector<MetaBundle> metas_;
-  std::vector<DataBundle> datas_;
-  std::vector<ProxyBundle> proxies_;
+  // Deques: hosts are built in place and never move.
+  std::deque<rpc::Host<cluster::Manager>> managers_;
+  std::deque<rpc::Host<MetaServer>> metas_;
+  std::deque<rpc::Host<DataServer>> datas_;
+  std::deque<rpc::Host<ClientProxy>> proxies_;
   sim::NodeId next_meta_id_ = 100;
   sim::NodeId next_data_id_ = 200;
 };

@@ -20,14 +20,12 @@ std::shared_ptr<int> Testbed::SpawnOnEveryMeta(sim::Task<> (MetaServer::*pass)()
 
 void Testbed::ScrubAll() {
   auto pending = SpawnOnEveryMeta(&MetaServer::ScrubNow);
-  while (*pending > 0 && loop_.RunOne()) {
-  }
+  loop_.RunUntilDone([&] { return *pending == 0; });
 }
 
 void Testbed::TierAll() {
   auto pending = SpawnOnEveryMeta(&MetaServer::TierNow);
-  while (*pending > 0 && loop_.RunOne()) {
-  }
+  loop_.RunUntilDone([&] { return *pending == 0; });
 }
 
 std::shared_ptr<const int> Testbed::BeginTierAll() {

@@ -76,6 +76,24 @@ class EventLoop {
   void RunUntil(Nanos deadline);
   void RunFor(Nanos duration) { RunUntil(now_ + duration); }
 
+  // Runs events one at a time until `done()` holds, `budget` of virtual time
+  // has passed, or the queue drains; returns done(). Unlike RunFor, the
+  // clock stops at the last event fired.
+  template <typename Done>
+  bool RunUntilDone(Done&& done, Nanos budget) {
+    const Nanos deadline = now_ + budget;
+    while (!done() && now_ < deadline && RunOne()) {
+    }
+    return done();
+  }
+  // As above with no time limit: stops only on done() or an empty queue.
+  template <typename Done>
+  bool RunUntilDone(Done&& done) {
+    while (!done() && RunOne()) {
+    }
+    return done();
+  }
+
   size_t pending_events() const {
     return active_.size() + wheel_count_ + overflow_.size() + heap_.size();
   }

@@ -11,27 +11,17 @@ namespace cheetah::baselines {
 namespace {
 
 template <typename Cluster, typename Fn>
-void Drive(Cluster& cluster, int client, Fn body, Nanos budget = Seconds(30)) {
-  auto done = std::make_shared<bool>(false);
-  cluster.client_actor(client).Spawn(
-      [](Fn body, workload::ObjectStore* store, std::shared_ptr<bool> done) -> sim::Task<> {
-        co_await body(*store);
-        *done = true;
-      }(std::move(body), &cluster.client(client), done));
-  const Nanos deadline = cluster.loop().Now() + budget;
-  while (!*done && cluster.loop().Now() < deadline && cluster.loop().RunOne()) {
-  }
-  ASSERT_TRUE(*done);
+void Drive(Cluster& cluster, int client, Fn body) {
+  ASSERT_TRUE(RunOnClient(cluster, client, std::move(body)));
 }
 
 TEST(HaystackBehaviorTest, AsyncCheckpointLagsWrites) {
-  sim::EventLoop loop;
   HaystackConfig config;
   config.store_machines = 3;
   config.client_machines = 1;
   config.volumes_per_store = 2;
   config.checkpoint_interval = Millis(200);
-  HaystackCluster cluster(loop, config);
+  HaystackCluster cluster(config);
   ASSERT_TRUE(cluster.Boot().ok());
   Drive(cluster, 0, [](workload::ObjectStore& store) -> sim::Task<> {
     for (int i = 0; i < 30; ++i) {
@@ -53,12 +43,11 @@ TEST(HaystackBehaviorTest, AsyncCheckpointLagsWrites) {
 }
 
 TEST(HaystackBehaviorTest, CompactionRewritesOnlyLiveBytes) {
-  sim::EventLoop loop;
   HaystackConfig config;
   config.store_machines = 3;
   config.client_machines = 1;
   config.volumes_per_store = 1;
-  HaystackCluster cluster(loop, config);
+  HaystackCluster cluster(config);
   ASSERT_TRUE(cluster.Boot().ok());
   Drive(cluster, 0, [](workload::ObjectStore& store) -> sim::Task<> {
     for (int i = 0; i < 20; ++i) {
@@ -79,12 +68,11 @@ TEST(HaystackBehaviorTest, CompactionRewritesOnlyLiveBytes) {
 }
 
 TEST(CephBehaviorTest, SmallObjectsDoubleWriteThroughJournal) {
-  sim::EventLoop loop;
   CephConfig config;
   config.osd_machines = 3;
   config.client_machines = 1;
   config.pg_count = 8;
-  CephCluster cluster(loop, config);
+  CephCluster cluster(config);
   ASSERT_TRUE(cluster.Boot().ok());
   auto journal_bytes = [&cluster] {
     uint64_t total = 0;
@@ -108,13 +96,12 @@ TEST(CephBehaviorTest, SmallObjectsDoubleWriteThroughJournal) {
 }
 
 TEST(CephBehaviorTest, PgLockSerializesSamePgOps) {
-  sim::EventLoop loop;
   CephConfig config;
   config.osd_machines = 3;
   config.client_machines = 1;
   config.pg_count = 1;  // every op contends on one PG
   config.osd_op_cpu = Millis(2);
-  CephCluster cluster(loop, config);
+  CephCluster cluster(config);
   ASSERT_TRUE(cluster.Boot().ok());
   // Two concurrent gets of a preloaded object must serialize (~2x one).
   Drive(cluster, 0, [](workload::ObjectStore& store) -> sim::Task<> {
@@ -129,18 +116,16 @@ TEST(CephBehaviorTest, PgLockSerializesSamePgOps) {
           ++*done;
         }(&cluster.client(0), done));
   }
-  while (*done < 2 && cluster.loop().RunOne()) {
-  }
+  cluster.loop().RunUntilDone([&] { return *done == 2; });
   // One get costs ~>= 2ms (CPU) under the lock; two must cost >= ~4ms.
   EXPECT_GE(cluster.loop().Now() - t0, Millis(4));
 }
 
 TEST(TectonicBehaviorTest, DeleteClearsAllThreeLayers) {
-  sim::EventLoop loop;
   TectonicConfig config;
   config.store_machines = 3;
   config.client_machines = 1;
-  TectonicCluster cluster(loop, config);
+  TectonicCluster cluster(config);
   ASSERT_TRUE(cluster.Boot().ok());
   Drive(cluster, 0, [](workload::ObjectStore& store) -> sim::Task<> {
     EXPECT_TRUE((co_await store.Put("layered", std::string(8192, 'L'))).ok());
@@ -159,12 +144,11 @@ TEST(TectonicBehaviorTest, PutCostsMoreRpcHopsThanGet) {
   // The recursive-RPC structure: a put walks name -> file -> block -> chunk
   // -> seal (5 hops incl. data), a get walks name -> file -> block -> chunk.
   // With near-free disks, latency is pure hops x RTT, so put > get.
-  sim::EventLoop loop;
   TectonicConfig config;
   config.store_machines = 3;
   config.client_machines = 1;
   config.disk = sim::DiskParams::RamDisk();
-  TectonicCluster cluster(loop, config);
+  TectonicCluster cluster(config);
   ASSERT_TRUE(cluster.Boot().ok());
   Nanos put_cost = 0, get_cost = 0;
   Drive(cluster, 0, [&](workload::ObjectStore& store) -> sim::Task<> {

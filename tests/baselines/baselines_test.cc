@@ -14,24 +14,6 @@
 namespace cheetah::baselines {
 namespace {
 
-// Drives a client coroutine to completion on the shared loop.
-template <typename Cluster, typename Fn>
-bool RunOnClient(Cluster& cluster, int i, Fn body, Nanos budget = Seconds(30)) {
-  auto done = std::make_shared<bool>(false);
-  cluster.client_actor(i).Spawn(
-      [](Fn body, workload::ObjectStore* store, std::shared_ptr<bool> done) -> sim::Task<> {
-        co_await body(*store);
-        *done = true;
-      }(std::move(body), &cluster.client(i), done));
-  const Nanos deadline = cluster.loop().Now() + budget;
-  while (!*done && cluster.loop().Now() < deadline) {
-    if (!cluster.loop().RunOne()) {
-      break;
-    }
-  }
-  return *done;
-}
-
 template <typename Cluster>
 Status PutObj(Cluster& cluster, int client, std::string name, std::string data) {
   auto result = std::make_shared<Status>(Status::Internal("unresolved"));
@@ -118,15 +100,13 @@ HaystackConfig SmallHaystack() {
 }
 
 TEST(HaystackTest, Conformance) {
-  sim::EventLoop loop;
-  HaystackCluster cluster(loop, SmallHaystack());
+  HaystackCluster cluster(SmallHaystack());
   ASSERT_TRUE(cluster.Boot().ok());
   RunConformance(cluster);
 }
 
 TEST(HaystackTest, DeleteDoesNotReclaimUntilCompaction) {
-  sim::EventLoop loop;
-  HaystackCluster cluster(loop, SmallHaystack());
+  HaystackCluster cluster(SmallHaystack());
   ASSERT_TRUE(cluster.Boot().ok());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(PutObj(cluster, 0, "n-" + std::to_string(i), std::string(8192, 'n')).ok());
@@ -164,11 +144,10 @@ TEST(HaystackTest, DeleteDoesNotReclaimUntilCompaction) {
 }
 
 TEST(TectonicTest, Conformance) {
-  sim::EventLoop loop;
   TectonicConfig config;
   config.store_machines = 4;
   config.client_machines = 2;
-  TectonicCluster cluster(loop, config);
+  TectonicCluster cluster(config);
   ASSERT_TRUE(cluster.Boot().ok());
   RunConformance(cluster);
 }
@@ -182,15 +161,13 @@ CephConfig SmallCeph() {
 }
 
 TEST(CephTest, Conformance) {
-  sim::EventLoop loop;
-  CephCluster cluster(loop, SmallCeph());
+  CephCluster cluster(SmallCeph());
   ASSERT_TRUE(cluster.Boot().ok());
   RunConformance(cluster);
 }
 
 TEST(CephTest, ExpansionTriggersBackfill) {
-  sim::EventLoop loop;
-  CephCluster cluster(loop, SmallCeph());
+  CephCluster cluster(SmallCeph());
   ASSERT_TRUE(cluster.Boot().ok());
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(PutObj(cluster, 0, "pre-" + std::to_string(i), std::string(8192, 'p')).ok());

@@ -214,7 +214,7 @@ TEST(ChaosInjectedBug, SkippedPersistWaitIsCaught) {
     auto put_count = std::make_shared<int>(0);
     constexpr int kWorkers = 3;
     for (int w = 0; w < kWorkers; ++w) {
-      sweep.bed().RunOnProxy(w, [w, seed, history, done_workers, put_count,
+      sweep.bed().SpawnOnProxy(w, [w, seed, history, done_workers, put_count,
                                  &loop = sweep.bed().loop()](
                                     ClientProxy& proxy) -> sim::Task<> {
         Rng rng(seed * 31 + static_cast<uint64_t>(w));
@@ -239,9 +239,9 @@ TEST(ChaosInjectedBug, SkippedPersistWaitIsCaught) {
           co_await sim::SleepFor(Millis(2) + rng.Uniform(Millis(4)));
         }
         ++*done_workers;
-      }, Nanos{0});
+      });
     }
-    sweep.RunUntilDone(*done_workers, kWorkers);
+    sweep.bed().loop().RunUntilDone([&] { return *done_workers == kWorkers; }, kClientBudget);
     EXPECT_EQ(*done_workers, kWorkers) << "bug workload hung";
     EXPECT_GT(*put_count, 0) << "no put was ever acked";
     sweep.bed().RunFor(Seconds(5));

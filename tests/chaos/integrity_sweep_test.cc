@@ -126,7 +126,7 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
   auto live = std::make_shared<IntegrityResult>();
   auto done_workers = std::make_shared<int>(0);
   for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, seed, out = live, done_workers, span,
+    bed.SpawnOnProxy(w, [w, seed, out = live, done_workers, span,
                        &loop = bed.loop()](ClientProxy& proxy) -> sim::Task<> {
       Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
       for (int i = 0; i < kRounds; ++i) {
@@ -145,9 +145,10 @@ IntegrityResult RunIntegrity(uint64_t seed, bool with_nemesis, bool scrub_on) {
         co_await sim::SleepFor(span / kRounds / 2 + rng.Uniform(span / kRounds));
       }
       ++*done_workers;
-    }, Nanos{0});
+    });
   }
-  result.workers_done = sweep.RunUntilDone(*done_workers, kWorkers);
+  result.workers_done =
+      bed.loop().RunUntilDone([&] { return *done_workers == kWorkers; }, kClientBudget);
   result.corrupt_acked = live->corrupt_acked;
   result.failed_gets = live->failed_gets;
   result.ok_gets = live->ok_gets;

@@ -154,7 +154,7 @@ TEST(MigrationTest, OpsDuringDrainAllSucceed) {
   auto done = std::make_shared<int>(0);
   constexpr int kWorkers = 2;
   for (int w = 0; w < kWorkers; ++w) {
-    bed.RunOnProxy(w, [w, failures, done](ClientProxy& proxy) -> sim::Task<> {
+    bed.SpawnOnProxy(w, [w, failures, done](ClientProxy& proxy) -> sim::Task<> {
       Rng rng(7001 + static_cast<uint64_t>(w));
       for (int i = 0; i < 12; ++i) {
         const std::string key = "live-w" + std::to_string(w) + "-" + std::to_string(i);
@@ -169,7 +169,7 @@ TEST(MigrationTest, OpsDuringDrainAllSucceed) {
         co_await sim::SleepFor(Millis(30) + rng.Uniform(Millis(70)));
       }
       ++*done;
-    }, Nanos{0});
+    });
   }
   const sim::NodeId victim = bed.meta_node(2);
   const Nanos deadline = bed.loop().Now() + Seconds(90);

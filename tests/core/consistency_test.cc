@@ -99,7 +99,7 @@ TEST_P(ConsistencySweep, AckedOperationsSurviveFaults) {
   auto deleted = std::make_shared<std::map<std::string, bool>>();
   auto done_workers = std::make_shared<int>(0);
   for (int w = 0; w < 2; ++w) {
-    bed.RunOnProxy(w, [w, committed, deleted, seed = p.seed,
+    bed.SpawnOnProxy(w, [w, committed, deleted, seed = p.seed,
                        done_workers](ClientProxy& proxy) -> sim::Task<> {
       Rng rng(seed * 17 + w);
       for (int i = 0; i < 40; ++i) {
@@ -121,12 +121,12 @@ TEST_P(ConsistencySweep, AckedOperationsSurviveFaults) {
         }
       }
       ++*done_workers;
-    }, Nanos{0});
+    });
   }
   // A doomed in-flight put on proxy 2 (interesting for the proxy-crash case).
-  bed.RunOnProxy(2, [](ClientProxy& proxy) -> sim::Task<> {
+  bed.SpawnOnProxy(2, [](ClientProxy& proxy) -> sim::Task<> {
     (void)co_await proxy.Put("doomed-object", std::string(262144, 'z'));
-  }, Nanos{0});
+  });
 
   // Run some traffic, inject the fault, keep running.
   bed.RunFor(Millis(30));
@@ -153,12 +153,7 @@ TEST_P(ConsistencySweep, AckedOperationsSurviveFaults) {
       break;
     }
   }
-  const Nanos deadline = bed.loop().Now() + Seconds(60);
-  while (*done_workers < 2 && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
+  bed.loop().RunUntilDone([&] { return *done_workers == 2; }, Seconds(60));
   ASSERT_EQ(*done_workers, 2) << "traffic did not complete after the fault";
   bed.RunFor(Seconds(4));  // recovery + cleaner settle
 

@@ -34,10 +34,7 @@ class ProtocolTest : public ::testing::Test {
           co_await body(*node, *bed);
           *done = true;
         }(std::move(body), &bed_->proxy_rpc(0), bed_.get(), done));
-    const Nanos deadline = bed_->loop().Now() + Seconds(30);
-    while (!*done && bed_->loop().Now() < deadline && bed_->loop().RunOne()) {
-    }
-    ASSERT_TRUE(*done);
+    ASSERT_TRUE(bed_->loop().RunUntilDone([&] { return *done; }, Seconds(30)));
   }
 
   std::unique_ptr<Testbed> bed_;

@@ -44,7 +44,7 @@ TEST(Recovery, HealedMetaPartitionCompletesInflightPutsViaReMeta) {
   auto fails = std::make_shared<int>(0);
   auto done = std::make_shared<int>(0);
   constexpr int kPuts = 16;
-  bed.RunOnProxy(0, [oks, fails, done](ClientProxy& proxy) -> sim::Task<> {
+  bed.SpawnOnProxy(0, [oks, fails, done](ClientProxy& proxy) -> sim::Task<> {
     for (int i = 0; i < kPuts; ++i) {
       Status s = co_await proxy.Put("inflight-" + std::to_string(i),
                                     std::string(4096, static_cast<char>('a' + i % 26)));
@@ -55,13 +55,8 @@ TEST(Recovery, HealedMetaPartitionCompletesInflightPutsViaReMeta) {
       }
     }
     ++*done;
-  }, Nanos{0});
-  const Nanos deadline = bed.loop().Now() + Seconds(60);
-  while (*done < 1 && bed.loop().Now() < deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
-  }
+  });
+  bed.loop().RunUntilDone([&] { return *done == 1; }, Seconds(60));
   ASSERT_EQ(*done, 1) << "puts hung";
   EXPECT_EQ(*fails, 0) << "puts exhausted retries during the partition";
   EXPECT_EQ(*oks, kPuts);
@@ -96,18 +91,15 @@ TEST(Recovery, CrashDuringViewChangeConvergesWithoutLoss) {
   // (actively pulling PGs) and kill it too.
   bed.CrashMetaMachine(0, /*power_loss=*/false);
   int second_victim = -1;
-  const Nanos hunt_deadline = bed.loop().Now() + Seconds(5);
-  while (second_victim < 0 && bed.loop().Now() < hunt_deadline) {
-    if (!bed.loop().RunOne()) {
-      break;
-    }
+  bed.loop().RunUntilDone([&] {
     for (int i = 1; i < bed.num_meta(); ++i) {
       if (bed.meta_machine(i).alive() && bed.meta(i).adopting()) {
         second_victim = i;
-        break;
+        return true;
       }
     }
-  }
+    return false;
+  }, Seconds(5));
   ASSERT_GE(second_victim, 0) << "never observed a meta mid-adoption";
   bed.CrashMetaMachine(second_victim, /*power_loss=*/true);
 
@@ -147,7 +139,7 @@ TEST(Recovery, SingleMetaBootReadiesEveryPgWithinOneHeartbeat) {
   config.pg_count = 64;
   config.pvs_per_disk = 8;  // 64 PVs -> 64 LVs at replication 1
   // Boot() returns one heartbeat interval after the servers start.
-  config.boot_warmup = config.options.heartbeat_interval;
+  config.boot_warmup = kHeartbeatInterval;
   Testbed bed(std::move(config));
   ASSERT_TRUE(bed.Boot().ok());
 

@@ -217,7 +217,7 @@ TEST(ScrubRaceTest, ReadRepairRacingDeleteStaysConsistent) {
   // proxy 1 deletes the object mid-stream.
   auto done = std::make_shared<int>(0);
   auto wrong_bytes = std::make_shared<int>(0);
-  bed.RunOnProxy(0, [payload, done, wrong_bytes](ClientProxy& proxy) -> sim::Task<> {
+  bed.SpawnOnProxy(0, [payload, done, wrong_bytes](ClientProxy& proxy) -> sim::Task<> {
     for (int i = 0; i < 10; ++i) {
       auto r = co_await proxy.Get("victim");
       if (r.ok() && *r != payload) {
@@ -226,16 +226,14 @@ TEST(ScrubRaceTest, ReadRepairRacingDeleteStaysConsistent) {
       co_await sim::SleepFor(Millis(2));
     }
     ++*done;
-  }, Nanos{0});
-  bed.RunOnProxy(1, [done](ClientProxy& proxy) -> sim::Task<> {
+  });
+  bed.SpawnOnProxy(1, [done](ClientProxy& proxy) -> sim::Task<> {
     co_await sim::SleepFor(Millis(8));  // a few reads in flight first
     Status s = co_await proxy.Delete("victim");
     EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
     ++*done;
-  }, Nanos{0});
-  const Nanos deadline = bed.loop().Now() + Seconds(60);
-  while (*done < 2 && bed.loop().Now() < deadline && bed.loop().RunOne()) {
-  }
+  });
+  bed.loop().RunUntilDone([&] { return *done == 2; }, Seconds(60));
   ASSERT_EQ(*done, 2);
   EXPECT_EQ(*wrong_bytes, 0);
 

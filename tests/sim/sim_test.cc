@@ -48,6 +48,46 @@ TEST(EventLoopTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(ran, 2);
 }
 
+TEST(EventLoopTest, RunUntilDoneStopsWhenDone) {
+  EventLoop loop;
+  int ran = 0;
+  for (int i = 1; i <= 5; ++i) {
+    loop.ScheduleAt(Millis(i), [&] { ++ran; });
+  }
+  EXPECT_TRUE(loop.RunUntilDone([&] { return ran == 2; }, Seconds(1)));
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(loop.Now(), Millis(2));  // the clock stops at the last event fired
+  EXPECT_TRUE(loop.RunUntilDone([&] { return ran == 4; }));
+  EXPECT_EQ(ran, 4);
+  EXPECT_EQ(loop.pending_events(), 1u);
+}
+
+TEST(EventLoopTest, RunUntilDoneStopsWhenBudgetIsSpent) {
+  EventLoop loop;
+  int ran = 0;
+  for (Nanos t : {Millis(1), Millis(10), Millis(20)}) {
+    loop.ScheduleAt(t, [&] { ++ran; });
+  }
+  EXPECT_FALSE(loop.RunUntilDone([] { return false; }, Millis(5)));
+  // The deadline is checked before each event, so the one at 10 ms, the
+  // first to pass it, still fires.
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(loop.Now(), Millis(10));
+  EXPECT_EQ(loop.pending_events(), 1u);
+}
+
+TEST(EventLoopTest, RunUntilDoneStopsWhenQueueDrains) {
+  EventLoop loop;
+  int ran = 0;
+  loop.ScheduleAt(Millis(1), [&] { ++ran; });
+  loop.ScheduleAt(Millis(2), [&] { ++ran; });
+  EXPECT_FALSE(loop.RunUntilDone([&] { return ran == 3; }, Seconds(1)));
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(loop.Now(), Millis(2));
+  EXPECT_FALSE(loop.RunUntilDone([&] { return ran == 3; }));
+  EXPECT_EQ(loop.pending_events(), 0u);
+}
+
 TEST(EventLoopTest, NestedScheduling) {
   EventLoop loop;
   int depth = 0;

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
+#include "src/common/units.h"
+#include "src/sim/task.h"
+
 #define CO_ASSERT_TRUE(cond)                              \
   do {                                                    \
     if (!(cond)) {                                        \
@@ -41,5 +47,23 @@
       co_return;                                                         \
     }                                                                    \
   } while (0)
+
+namespace cheetah {
+
+// Spawns body(cluster.client(i)) on client i's actor of a baseline cluster
+// and drives the cluster's loop until the body returns or `budget` of virtual
+// time passes. False on budget exhaustion.
+template <typename Cluster, typename Fn>
+bool RunOnClient(Cluster& cluster, int i, Fn body, Nanos budget = Seconds(30)) {
+  auto done = std::make_shared<bool>(false);
+  cluster.client_actor(i).Spawn(
+      [](Fn body, auto* client, std::shared_ptr<bool> done) -> sim::Task<> {
+        co_await body(*client);
+        *done = true;
+      }(std::move(body), &cluster.client(i), done));
+  return cluster.loop().RunUntilDone([&] { return *done; }, budget);
+}
+
+}  // namespace cheetah
 
 #endif  // TESTS_TEST_UTIL_H_

@@ -256,7 +256,7 @@ TEST(TierRaceTest, DemotionRacingDeleteStaysConsistent) {
   auto pending = bed.BeginTierAll();
   auto done = std::make_shared<int>(0);
   auto wrong_bytes = std::make_shared<int>(0);
-  bed.RunOnProxy(0, [payload, done, wrong_bytes](ClientProxy& proxy) -> sim::Task<> {
+  bed.SpawnOnProxy(0, [payload, done, wrong_bytes](ClientProxy& proxy) -> sim::Task<> {
     for (int i = 0; i < 10; ++i) {
       auto r = co_await proxy.Get("victim");
       if (r.ok() && *r != payload) {
@@ -265,16 +265,14 @@ TEST(TierRaceTest, DemotionRacingDeleteStaysConsistent) {
       co_await sim::SleepFor(Millis(1));
     }
     ++*done;
-  }, Nanos{0});
-  bed.RunOnProxy(1, [done](ClientProxy& proxy) -> sim::Task<> {
+  });
+  bed.SpawnOnProxy(1, [done](ClientProxy& proxy) -> sim::Task<> {
     co_await sim::SleepFor(Millis(2));
     Status s = co_await proxy.Delete("victim");
     EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
     ++*done;
-  }, Nanos{0});
-  const Nanos deadline = bed.loop().Now() + Seconds(60);
-  while ((*done < 2 || *pending > 0) && bed.loop().Now() < deadline && bed.loop().RunOne()) {
-  }
+  });
+  bed.loop().RunUntilDone([&] { return *done == 2 && *pending == 0; }, Seconds(60));
   ASSERT_EQ(*done, 2);
   ASSERT_EQ(*pending, 0);
   EXPECT_EQ(*wrong_bytes, 0);
@@ -322,17 +320,15 @@ TEST(TierRaceTest, DemotionRacingRecreateKeepsNewBytes) {
 
   auto pending = bed.BeginTierAll();
   auto done = std::make_shared<int>(0);
-  bed.RunOnProxy(1, [&v2, done](ClientProxy& proxy) -> sim::Task<> {
+  bed.SpawnOnProxy(1, [&v2, done](ClientProxy& proxy) -> sim::Task<> {
     co_await sim::SleepFor(Millis(2));
     Status del = co_await proxy.Delete("obj");
     EXPECT_TRUE(del.ok() || del.IsNotFound()) << del.ToString();
     Status put = co_await proxy.Put("obj", v2);
     EXPECT_TRUE(put.ok()) << put.ToString();
     ++*done;
-  }, Nanos{0});
-  const Nanos deadline = bed.loop().Now() + Seconds(60);
-  while ((*done < 1 || *pending > 0) && bed.loop().Now() < deadline && bed.loop().RunOne()) {
-  }
+  });
+  bed.loop().RunUntilDone([&] { return *done == 1 && *pending == 0; }, Seconds(60));
   ASSERT_EQ(*done, 1);
   ASSERT_EQ(*pending, 0);
   bed.RunFor(Seconds(2));
