@@ -6,6 +6,12 @@
 // Tectonic is worst (recursive metadata RPCs); Ceph sits between (layered
 // OSD + journaling); get gap is small (~25%); delete is where Cheetah wins
 // big (one meta round trip vs Haystack's three-step sequence).
+//
+// The binary asserts, on stderr only so the printed figure is unchanged:
+// zero failed ops in every cell, Cheetah the lowest mean put latency at
+// 8KB-20, and Cheetah the lowest mean delete latency in every cell. It exits
+// non-zero when any of these fails.
+#include <cstdio>
 #include <functional>
 
 #include "bench/bench_util.h"
@@ -30,6 +36,7 @@ struct SystemRow {
   std::vector<double> put_ms;
   std::vector<double> get_ms;
   std::vector<double> del_ms;
+  std::vector<uint64_t> errors;  // failed puts + gets + deletes, per cell
 };
 
 template <typename MakeFn>
@@ -53,10 +60,10 @@ SystemRow MeasureSystem(const std::string& name, MakeFn make) {
     auto dels =
         RunDeletes(bench.loop(), bench.clients, names, dels_per_cell, cell.concurrency);
     row.del_ms.push_back(dels.del.MeanMillis());
+    row.errors.push_back(puts.errors + gets.errors + dels.errors);
     std::fprintf(stderr, "  [%s %s] put=%.3fms get=%.3fms del=%.3fms (errors=%llu)\n",
                  name.c_str(), cell.label, row.put_ms.back(), row.get_ms.back(),
-                 row.del_ms.back(),
-                 static_cast<unsigned long long>(puts.errors + gets.errors + dels.errors));
+                 row.del_ms.back(), static_cast<unsigned long long>(row.errors.back()));
   }
   return row;
 }
@@ -78,6 +85,33 @@ void PrintFigure(const char* title, const std::vector<SystemRow>& rows,
   }
 }
 
+// The Fig. 5 claims, checked against `rows` (Cheetah first); failures go to
+// stderr.
+bool CheckShape(const std::vector<SystemRow>& rows) {
+  bool ok = true;
+  auto require = [&ok](bool cond, const std::string& what) {
+    if (!cond) {
+      std::fprintf(stderr, "FAIL: %s\n", what.c_str());
+      ok = false;
+    }
+  };
+  const SystemRow& cheetah = rows.front();
+  for (const SystemRow& row : rows) {
+    for (size_t c = 0; c < std::size(kCells); ++c) {
+      const std::string at = row.name + " at " + kCells[c].label;
+      require(row.errors[c] == 0, "failed ops for " + at);
+      if (&row != &cheetah) {
+        require(cheetah.del_ms[c] < row.del_ms[c], "Cheetah delete not below " + at);
+      }
+    }
+    if (&row != &cheetah) {
+      require(cheetah.put_ms[0] < row.put_ms[0],
+              "Cheetah put not below " + row.name + " at " + kCells[0].label);
+    }
+  }
+  return ok;
+}
+
 }  // namespace
 }  // namespace cheetah::bench
 
@@ -95,5 +129,9 @@ int main() {
   PrintFigure("Fig. 5b: mean GET latency (ms)", rows, &SystemRow::get_ms);
   PrintFigure("Fig. 5c: mean DELETE latency (ms)", rows, &SystemRow::del_ms);
   DumpObsJson("fig5_latency");
+  if (!CheckShape(rows)) {
+    return 1;
+  }
+  std::fprintf(stderr, "fig5_latency: PASS\n");
   return 0;
 }

@@ -14,6 +14,7 @@
 // criteria and exits non-zero when they do not hold; CHEETAH_SCRUB_SMOKE=1
 // shrinks every dimension so scripts/check.sh can run it as the `integrity`
 // tier's bench smoke.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -35,11 +36,15 @@ struct ScrubScale {
   int concurrency;       // closed-loop workers
 };
 
+// The smoke preload: the smallest known to give the bit-rot burst (2% of
+// extents on a third of the disks) something to rot.
+constexpr uint64_t kSmokePreload = 200;
+
 ScrubScale PickScale() {
   if (Smoke()) {
-    return {/*preload=*/200, /*get_ops=*/800, /*concurrency=*/12};
+    return {kSmokePreload, /*get_ops=*/800, /*concurrency=*/12};
   }
-  return {ScaledOps(1500), ScaledOps(8000), 48};
+  return {std::max(kSmokePreload, ScaledOps(1500)), ScaledOps(8000), 48};
 }
 
 struct SideResult {

@@ -64,6 +64,11 @@ CHEETAH_BENCH_SCALE=0.02 "$builddir/bench/fig14_expansion"
 # asserts zero failed puts, Meta/Dir >= 0.9 and a >= 3x rise from 5 to 30
 # clients.
 CHEETAH_BENCH_SCALE=0.02 "$builddir/bench/fig13_richmeta"
+# Fig. 5 is the one line that runs all four clusters' handlers (Cheetah,
+# Haystack, Tectonic, Ceph) end to end; it asserts zero failed ops in all 28
+# cells, Cheetah the lowest mean put latency at 8KB-20 and the lowest mean
+# delete latency in every cell.
+CHEETAH_BENCH_SCALE=0.02 "$builddir/bench/fig5_latency"
 # Fig. 11 runs at full scale (about 3 s in Release, about 47 s under the
 # sanitize preset on a 4-core host): it asserts zero failed puts and that
 # Flush+ and Merge+ each keep >= 0.9 of the Default throughput. At scale 0.1

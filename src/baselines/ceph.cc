@@ -1,5 +1,6 @@
 #include "src/baselines/ceph.h"
 
+#include <functional>
 #include <iterator>
 #include <ranges>
 
@@ -40,21 +41,11 @@ sim::Task<Status> CephOsd::Start() {
     co_return db.status();
   }
   db_ = std::move(*db);
-  rpc_.Serve<CWriteRequest>([this](sim::NodeId src, CWriteRequest req) {
-    return HandleWrite(src, std::move(req));
-  });
-  rpc_.Serve<CRepWriteRequest>([this](sim::NodeId src, CRepWriteRequest req) {
-    return HandleRepWrite(src, std::move(req));
-  });
-  rpc_.Serve<CReadRequest>([this](sim::NodeId src, CReadRequest req) {
-    return HandleRead(src, std::move(req));
-  });
-  rpc_.Serve<CDeleteRequest>([this](sim::NodeId src, CDeleteRequest req) {
-    return HandleDelete(src, std::move(req));
-  });
-  rpc_.Serve<CBackfillRequest>([this](sim::NodeId src, CBackfillRequest req) {
-    return HandleBackfill(src, std::move(req));
-  });
+  rpc_.Serve<CWriteRequest>(std::bind_front(&CephOsd::HandleWrite, this));
+  rpc_.Serve<CRepWriteRequest>(std::bind_front(&CephOsd::HandleRepWrite, this));
+  rpc_.Serve<CReadRequest>(std::bind_front(&CephOsd::HandleRead, this));
+  rpc_.Serve<CDeleteRequest>(std::bind_front(&CephOsd::HandleDelete, this));
+  rpc_.Serve<CBackfillRequest>(std::bind_front(&CephOsd::HandleBackfill, this));
   co_return Status::Ok();
 }
 
@@ -160,15 +151,10 @@ sim::Task<Result<CWriteReply>> CephOsd::HandleWrite(sim::NodeId, CWriteRequest r
       rep.data = std::move(req.data);
       rep.checksum = req.checksum;
       auto r = co_await self->rpc_.Call(peer, std::move(rep), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
+      co_return r.status();
     }(this, static_cast<sim::NodeId>(peer), req));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::AllOk(std::move(tasks)));
   co_return CWriteReply{};
 }
 
@@ -250,7 +236,7 @@ sim::Task<Result<CDeleteReply>> CephOsd::HandleDelete(sim::NodeId, CDeleteReques
                           -> sim::Task<Status> {
         req.replicate = false;
         auto r = co_await self->rpc_.Call(peer, std::move(req), self->config_.rpc_timeout);
-        co_return r.ok() ? Status::Ok() : r.status();
+        co_return r.status();
       }(this, static_cast<sim::NodeId>(peer), req));
     }
     auto results = co_await sim::WhenAll(std::move(tasks));
@@ -319,7 +305,7 @@ sim::Task<Status> CephClient::Put(std::string name, std::string data) {
   req.name = std::move(name);
   req.data = std::move(data);
   auto r = co_await rpc_.Call(primary, std::move(req), config_.rpc_timeout);
-  co_return r.ok() ? Status::Ok() : r.status();
+  co_return r.status();
 }
 
 sim::Task<Result<std::string>> CephClient::Get(std::string name) {
@@ -344,7 +330,7 @@ sim::Task<Status> CephClient::Delete(std::string name) {
   req.pg = pg;
   req.name = std::move(name);
   auto r = co_await rpc_.Call(primary, std::move(req), config_.rpc_timeout);
-  co_return r.ok() ? Status::Ok() : r.status();
+  co_return r.status();
 }
 
 // ---- cluster ----

@@ -1,6 +1,7 @@
 #include "src/baselines/haystack.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
@@ -41,18 +42,10 @@ sim::Task<Status> HaystackDirectory::Start() {
     co_return db.status();
   }
   db_ = std::move(*db);
-  rpc_.Serve<HsAssignRequest>([this](sim::NodeId src, HsAssignRequest req) {
-    return HandleAssign(src, std::move(req));
-  });
-  rpc_.Serve<HsLookupRequest>([this](sim::NodeId src, HsLookupRequest req) {
-    return HandleLookup(src, std::move(req));
-  });
-  rpc_.Serve<HsDirDeleteRequest>([this](sim::NodeId src, HsDirDeleteRequest req) {
-    return HandleDelete(src, std::move(req));
-  });
-  rpc_.Serve<HsDirReplicateRequest>([this](sim::NodeId src, HsDirReplicateRequest req) {
-    return HandleReplicate(src, std::move(req));
-  });
+  rpc_.Serve<HsAssignRequest>(std::bind_front(&HaystackDirectory::HandleAssign, this));
+  rpc_.Serve<HsLookupRequest>(std::bind_front(&HaystackDirectory::HandleLookup, this));
+  rpc_.Serve<HsDirDeleteRequest>(std::bind_front(&HaystackDirectory::HandleDelete, this));
+  rpc_.Serve<HsDirReplicateRequest>(std::bind_front(&HaystackDirectory::HandleReplicate, this));
   co_return Status::Ok();
 }
 
@@ -68,16 +61,10 @@ sim::Task<Status> HaystackDirectory::ReplicateToPeers(std::string key, std::stri
       rep.key = std::move(key);
       rep.value = std::move(value);
       auto r = co_await self->rpc_.Call(peer, std::move(rep), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
+      co_return r.status();
     }(this, peer, key, value));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
-  co_return Status::Ok();
+  co_return co_await sim::AllOk(std::move(tasks));
 }
 
 sim::Task<Result<HsAssignReply>> HaystackDirectory::HandleAssign(sim::NodeId src,
@@ -112,12 +99,7 @@ sim::Task<Result<HsAssignReply>> HaystackDirectory::HandleAssign(sim::NodeId src
   std::vector<sim::Task<Status>> tasks;
   tasks.push_back(db_->Put(key, value));
   tasks.push_back(ReplicateToPeers(key, value));
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::AllOk(std::move(tasks)));
   HsAssignReply reply;
   reply.volume = chosen->id;
   reply.stores = chosen->stores;
@@ -162,12 +144,7 @@ sim::Task<Result<HsDirDeleteReply>> HaystackDirectory::HandleDelete(sim::NodeId 
   std::vector<sim::Task<Status>> tasks;
   tasks.push_back(db_->Delete("V_" + req.name));
   tasks.push_back(ReplicateToPeers("V_" + req.name, ""));
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::AllOk(std::move(tasks)));
   co_return HsDirDeleteReply{};
 }
 
@@ -201,18 +178,10 @@ HaystackStore::HaystackStore(rpc::Node& rpc, const HaystackConfig& config)
                 scope_.counter("compactions"), scope_.counter("compacted_bytes")} {}
 
 void HaystackStore::Start() {
-  rpc_.Serve<HsWriteRequest>([this](sim::NodeId src, HsWriteRequest req) {
-    return HandleWrite(src, std::move(req));
-  });
-  rpc_.Serve<HsReadRequest>([this](sim::NodeId src, HsReadRequest req) {
-    return HandleRead(src, std::move(req));
-  });
-  rpc_.Serve<HsFlagRequest>([this](sim::NodeId src, HsFlagRequest req) {
-    return HandleFlag(src, std::move(req));
-  });
-  rpc_.Serve<HsCompactRequest>([this](sim::NodeId src, HsCompactRequest req) {
-    return HandleCompact(src, std::move(req));
-  });
+  rpc_.Serve<HsWriteRequest>(std::bind_front(&HaystackStore::HandleWrite, this));
+  rpc_.Serve<HsReadRequest>(std::bind_front(&HaystackStore::HandleRead, this));
+  rpc_.Serve<HsFlagRequest>(std::bind_front(&HaystackStore::HandleFlag, this));
+  rpc_.Serve<HsCompactRequest>(std::bind_front(&HaystackStore::HandleCompact, this));
   rpc_.machine().actor().Spawn(CheckpointLoop());
 }
 
@@ -381,16 +350,10 @@ sim::Task<Status> HaystackClient::Put(std::string name, std::string data) {
       write.data = std::move(data);
       write.checksum = checksum;
       auto r = co_await self->rpc_.Call(store, std::move(write), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
+      co_return r.status();
     }(this, store, assigned->volume, name, data, checksum));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
-  co_return Status::Ok();
+  co_return co_await sim::AllOk(std::move(tasks));
 }
 
 sim::Task<Result<std::string>> HaystackClient::Get(std::string name) {
@@ -431,19 +394,14 @@ sim::Task<Status> HaystackClient::Delete(std::string name) {
       flag.volume = volume;
       flag.name = std::move(name);
       auto r = co_await self->rpc_.Call(store, std::move(flag), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
+      co_return r.status();
     }(this, store, found->volume, name));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::AllOk(std::move(tasks)));
   HsDirDeleteRequest del;
   del.name = std::move(name);
   auto r = co_await rpc_.Call(primary_dir_, std::move(del), config_.rpc_timeout);
-  co_return r.ok() ? Status::Ok() : r.status();
+  co_return r.status();
 }
 
 // ---- cluster ----

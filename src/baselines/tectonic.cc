@@ -1,5 +1,7 @@
 #include "src/baselines/tectonic.h"
 
+#include <functional>
+
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
 #include "src/sim/sync.h"
@@ -39,21 +41,11 @@ sim::Task<Status> TectonicMetaServer::Start() {
     co_return db.status();
   }
   db_ = std::move(*db);
-  rpc_.Serve<TnCreateNameRequest>([this](sim::NodeId src, TnCreateNameRequest req) {
-    return HandleCreate(src, std::move(req));
-  });
-  rpc_.Serve<TnLookupNameRequest>([this](sim::NodeId src, TnLookupNameRequest req) {
-    return HandleLookup(src, std::move(req));
-  });
-  rpc_.Serve<TnDeleteNameRequest>([this](sim::NodeId src, TnDeleteNameRequest req) {
-    return HandleDeleteName(src, std::move(req));
-  });
-  rpc_.Serve<TnFileOpRequest>([this](sim::NodeId src, TnFileOpRequest req) {
-    return HandleFileOp(src, std::move(req));
-  });
-  rpc_.Serve<TnBlockOpRequest>([this](sim::NodeId src, TnBlockOpRequest req) {
-    return HandleBlockOp(src, std::move(req));
-  });
+  rpc_.Serve<TnCreateNameRequest>(std::bind_front(&TectonicMetaServer::HandleCreate, this));
+  rpc_.Serve<TnLookupNameRequest>(std::bind_front(&TectonicMetaServer::HandleLookup, this));
+  rpc_.Serve<TnDeleteNameRequest>(std::bind_front(&TectonicMetaServer::HandleDeleteName, this));
+  rpc_.Serve<TnFileOpRequest>(std::bind_front(&TectonicMetaServer::HandleFileOp, this));
+  rpc_.Serve<TnBlockOpRequest>(std::bind_front(&TectonicMetaServer::HandleBlockOp, this));
   co_return Status::Ok();
 }
 
@@ -192,49 +184,54 @@ TectonicStoreServer::TectonicStoreServer(rpc::Node& rpc, const TectonicConfig& c
     : rpc_(rpc), config_(config) {}
 
 void TectonicStoreServer::Start() {
-  rpc_.Serve<TnChunkWriteRequest>(
-      [this](sim::NodeId, TnChunkWriteRequest req) -> sim::Task<Result<TnChunkWriteReply>> {
-        sim::Storage& disk = rpc_.machine().disk(0);
-        co_await disk.ChargeWrite(config_.fs_overhead_bytes);  // chunk-file metadata
-        const uint64_t offset = tail_;
-        const uint64_t size = req.data.size();
-        Status s = co_await disk.WriteBlocks("tchunks", offset, std::move(req.data),
-                                             req.checksum);
-        if (!s.ok()) {
-          co_return s;
-        }
-        chunk_offsets_[req.chunk_id] = {offset, size};
-        tail_ += size;
-        co_return TnChunkWriteReply{};
-      });
-  rpc_.Serve<TnChunkReadRequest>(
-      [this](sim::NodeId, TnChunkReadRequest req) -> sim::Task<Result<TnChunkReadReply>> {
-        auto it = chunk_offsets_.find(req.chunk_id);
-        if (it == chunk_offsets_.end()) {
-          co_return Status::NotFound("no such chunk");
-        }
-        sim::Storage& disk = rpc_.machine().disk(0);
-        co_await disk.ChargeRead(config_.fs_overhead_bytes);
-        auto data = co_await disk.ReadBlocks("tchunks", it->second.first, it->second.second);
-        if (!data.ok()) {
-          co_return data.status();
-        }
-        TnChunkReadReply reply;
-        reply.data = std::move(*data);
-        if (auto crc = disk.PeekChecksum("tchunks", it->second.first)) {
-          reply.checksum = *crc;
-        }
-        co_return reply;
-      });
-  rpc_.Serve<TnChunkDropRequest>(
-      [this](sim::NodeId, TnChunkDropRequest req) -> sim::Task<Result<TnChunkDropReply>> {
-        auto it = chunk_offsets_.find(req.chunk_id);
-        if (it != chunk_offsets_.end()) {
-          rpc_.machine().disk(0).DiscardBlocks("tchunks", it->second.first);
-          chunk_offsets_.erase(it);
-        }
-        co_return TnChunkDropReply{};
-      });
+  rpc_.Serve<TnChunkWriteRequest>(std::bind_front(&TectonicStoreServer::HandleChunkWrite, this));
+  rpc_.Serve<TnChunkReadRequest>(std::bind_front(&TectonicStoreServer::HandleChunkRead, this));
+  rpc_.Serve<TnChunkDropRequest>(std::bind_front(&TectonicStoreServer::HandleChunkDrop, this));
+}
+
+sim::Task<Result<TnChunkWriteReply>> TectonicStoreServer::HandleChunkWrite(
+    sim::NodeId, TnChunkWriteRequest req) {
+  sim::Storage& disk = rpc_.machine().disk(0);
+  co_await disk.ChargeWrite(config_.fs_overhead_bytes);  // chunk-file metadata
+  const uint64_t offset = tail_;
+  const uint64_t size = req.data.size();
+  Status s = co_await disk.WriteBlocks("tchunks", offset, std::move(req.data), req.checksum);
+  if (!s.ok()) {
+    co_return s;
+  }
+  chunk_offsets_[req.chunk_id] = {offset, size};
+  tail_ += size;
+  co_return TnChunkWriteReply{};
+}
+
+sim::Task<Result<TnChunkReadReply>> TectonicStoreServer::HandleChunkRead(
+    sim::NodeId, TnChunkReadRequest req) {
+  auto it = chunk_offsets_.find(req.chunk_id);
+  if (it == chunk_offsets_.end()) {
+    co_return Status::NotFound("no such chunk");
+  }
+  sim::Storage& disk = rpc_.machine().disk(0);
+  co_await disk.ChargeRead(config_.fs_overhead_bytes);
+  auto data = co_await disk.ReadBlocks("tchunks", it->second.first, it->second.second);
+  if (!data.ok()) {
+    co_return data.status();
+  }
+  TnChunkReadReply reply;
+  reply.data = std::move(*data);
+  if (auto crc = disk.PeekChecksum("tchunks", it->second.first)) {
+    reply.checksum = *crc;
+  }
+  co_return reply;
+}
+
+sim::Task<Result<TnChunkDropReply>> TectonicStoreServer::HandleChunkDrop(
+    sim::NodeId, TnChunkDropRequest req) {
+  auto it = chunk_offsets_.find(req.chunk_id);
+  if (it != chunk_offsets_.end()) {
+    rpc_.machine().disk(0).DiscardBlocks("tchunks", it->second.first);
+    chunk_offsets_.erase(it);
+  }
+  co_return TnChunkDropReply{};
 }
 
 // ---- client ----
@@ -280,22 +277,17 @@ sim::Task<Status> TectonicClient::Put(std::string name, std::string data) {
       write.data = std::move(data);
       write.checksum = checksum;
       auto r = co_await self->rpc_.Call(store, std::move(write), self->config_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
+      co_return r.status();
     }(this, store, placed->chunk_id, data, checksum));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
+  CO_RETURN_IF_ERROR(co_await sim::AllOk(std::move(tasks)));
   // Seal/commit.
   TnBlockOpRequest seal;
   seal.block_id = block->block_id;
   seal.op = 2;
   auto sealed = co_await rpc_.Call(ShardFor(block->block_id), std::move(seal),
                                    config_.rpc_timeout);
-  co_return sealed.ok() ? Status::Ok() : sealed.status();
+  co_return sealed.status();
 }
 
 sim::Task<Result<std::string>> TectonicClient::Get(std::string name) {

@@ -167,6 +167,10 @@ class TectonicStoreServer {
   void Start();
 
  private:
+  sim::Task<Result<TnChunkWriteReply>> HandleChunkWrite(sim::NodeId src, TnChunkWriteRequest req);
+  sim::Task<Result<TnChunkReadReply>> HandleChunkRead(sim::NodeId src, TnChunkReadRequest req);
+  sim::Task<Result<TnChunkDropReply>> HandleChunkDrop(sim::NodeId src, TnChunkDropRequest req);
+
   rpc::Node& rpc_;
   TectonicConfig config_;
   uint64_t tail_ = 0;

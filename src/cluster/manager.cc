@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 #include "src/common/logging.h"
 #include "src/sim/actor.h"
@@ -55,18 +56,10 @@ Manager::Manager(rpc::Node& rpc, sim::Storage& storage, raft::Config raft_config
 
 sim::Task<Status> Manager::Start() {
   CO_RETURN_IF_ERROR(co_await raft_->Start());
-  rpc_.Serve<HeartbeatRequest>([this](sim::NodeId src, HeartbeatRequest req) {
-    return HandleHeartbeat(src, std::move(req));
-  });
-  rpc_.Serve<GetTopologyRequest>([this](sim::NodeId src, GetTopologyRequest req) {
-    return HandleGetTopology(src, std::move(req));
-  });
-  rpc_.Serve<ReportFailureRequest>([this](sim::NodeId src, ReportFailureRequest req) {
-    return HandleReport(src, std::move(req));
-  });
-  rpc_.Serve<RecoveryDoneRequest>([this](sim::NodeId src, RecoveryDoneRequest req) {
-    return HandleRecoveryDone(src, std::move(req));
-  });
+  rpc_.Serve<HeartbeatRequest>(std::bind_front(&Manager::HandleHeartbeat, this));
+  rpc_.Serve<GetTopologyRequest>(std::bind_front(&Manager::HandleGetTopology, this));
+  rpc_.Serve<ReportFailureRequest>(std::bind_front(&Manager::HandleReport, this));
+  rpc_.Serve<RecoveryDoneRequest>(std::bind_front(&Manager::HandleRecoveryDone, this));
   rpc_.machine().actor().Spawn(LeaderLoop());
   co_return Status::Ok();
 }
@@ -83,7 +76,7 @@ sim::Task<Status> Manager::MutateTopology(std::function<Status(TopologyMap&)> fn
   if (s.ok()) {
     next.view = sm_.current.view + 1;
     auto r = co_await raft_->Propose(next.Serialize());
-    s = r.ok() ? Status::Ok() : r.status();
+    s = r.status();
     if (s.ok()) {
       ++topology_changes_;
       PushTopologyToAll();

@@ -1,6 +1,7 @@
 #include "src/core/client_proxy.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/common/crc32c.h"
 #include "src/common/logging.h"
@@ -40,12 +41,8 @@ ClientProxy::MetaWindow& ClientProxy::WindowFor(sim::NodeId dst) {
 }
 
 void ClientProxy::Start() {
-  rpc_.Serve<MetaPersistedNotify>([this](sim::NodeId src, MetaPersistedNotify req) {
-    return HandlePersisted(src, std::move(req));
-  });
-  rpc_.Serve<cluster::TopologyPush>([this](sim::NodeId src, cluster::TopologyPush req) {
-    return HandleTopologyPush(src, std::move(req));
-  });
+  rpc_.Serve<MetaPersistedNotify>(std::bind_front(&ClientProxy::HandlePersisted, this));
+  rpc_.Serve<cluster::TopologyPush>(std::bind_front(&ClientProxy::HandleTopologyPush, this));
   rpc_.machine().actor().Spawn(HeartbeatLoop());
 }
 
@@ -343,13 +340,7 @@ sim::Task<Status> ClientProxy::WriteDataReplicas(const ReplicaSet& set, const st
       co_return Status::Ok();
     }(this, r.node, set.Write(r, data, checksum)));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
-  co_return Status::Ok();
+  co_return co_await sim::AllOk(std::move(tasks));
 }
 
 // ---- get ----

@@ -1,6 +1,7 @@
 #include "src/core/data_server.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/common/crc32c.h"
 #include "src/common/logging.h"
@@ -21,49 +22,25 @@ DataServer::DataServer(rpc::Node& rpc, CheetahOptions options,
                 scope_.counter("recovery_bytes"),  scope_.counter("verify_failures")} {}
 
 void DataServer::Start() {
-  rpc_.Serve<DataWriteRequest>(
-      [this](sim::NodeId src, DataWriteRequest req) {
-        return HandleWrite(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<DataReadRequest>(
-      [this](sim::NodeId src, DataReadRequest req) {
-        return HandleRead(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
+  rpc_.Serve<DataWriteRequest>(std::bind_front(&DataServer::HandleWrite, this),
+                               qos::TrafficClass::kForeground);
+  rpc_.Serve<DataReadRequest>(std::bind_front(&DataServer::HandleRead, this),
+                              qos::TrafficClass::kForeground);
   // Repair traffic shares the read/write handlers (the derived request
   // slices to its base) but rides the maintenance class, so scrub and
   // read-repair I/O never contends with foreground puts/gets for credit.
-  rpc_.Serve<RepairReadRequest>(
-      [this](sim::NodeId src, RepairReadRequest req) {
-        return HandleRead(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<RepairWriteRequest>(
-      [this](sim::NodeId src, RepairWriteRequest req) {
-        return HandleWrite(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<DataProbeRequest>(
-      [this](sim::NodeId src, DataProbeRequest req) {
-        return HandleProbe(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<DataDiscardRequest>(
-      [this](sim::NodeId src, DataDiscardRequest req) {
-        return HandleDiscard(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<VolumePullRequest>(
-      [this](sim::NodeId src, VolumePullRequest req) {
-        return HandlePull(src, std::move(req));
-      },
-      qos::TrafficClass::kBackground);
-  rpc_.Serve<cluster::RecoverVolumeRequest>(
-      [this](sim::NodeId src, cluster::RecoverVolumeRequest req) {
-        return HandleRecover(src, std::move(req));
-      },
-      qos::TrafficClass::kBackground);
+  rpc_.Serve<RepairReadRequest>(std::bind_front(&DataServer::HandleRead, this),
+                                qos::TrafficClass::kMaintenance);
+  rpc_.Serve<RepairWriteRequest>(std::bind_front(&DataServer::HandleWrite, this),
+                                 qos::TrafficClass::kMaintenance);
+  rpc_.Serve<DataProbeRequest>(std::bind_front(&DataServer::HandleProbe, this),
+                               qos::TrafficClass::kMaintenance);
+  rpc_.Serve<DataDiscardRequest>(std::bind_front(&DataServer::HandleDiscard, this),
+                                 qos::TrafficClass::kMaintenance);
+  rpc_.Serve<VolumePullRequest>(std::bind_front(&DataServer::HandlePull, this),
+                                qos::TrafficClass::kBackground);
+  rpc_.Serve<cluster::RecoverVolumeRequest>(std::bind_front(&DataServer::HandleRecover, this),
+                                            qos::TrafficClass::kBackground);
   rpc_.machine().actor().Spawn(HeartbeatLoop());
 }
 

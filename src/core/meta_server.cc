@@ -1,6 +1,7 @@
 #include "src/core/meta_server.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "src/common/crc32c.h"
@@ -47,44 +48,21 @@ MetaServer::MetaServer(rpc::Node& rpc, CheetahOptions options,
 MetaServer::~MetaServer() = default;
 
 void MetaServer::Start() {
-  rpc_.Serve<PutAllocRequest>(
-      [this](sim::NodeId src, PutAllocRequest req) {
-        return HandlePutAlloc(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<PutCommitNotify>(
-      [this](sim::NodeId src, PutCommitNotify req) {
-        return HandleCommit(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<GetMetaRequest>(
-      [this](sim::NodeId src, GetMetaRequest req) {
-        return HandleGet(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<DeleteRequest>(
-      [this](sim::NodeId src, DeleteRequest req) {
-        return HandleDelete(src, std::move(req));
-      },
-      qos::TrafficClass::kForeground);
-  rpc_.Serve<ReplicateMetaXRequest>(
-      [this](sim::NodeId src, ReplicateMetaXRequest req) {
-        return HandleReplicate(src, std::move(req));
-      },
-      qos::TrafficClass::kReplication);
-  rpc_.Serve<PgPullRequest>(
-      [this](sim::NodeId src, PgPullRequest req) {
-        return HandlePgPull(src, std::move(req));
-      },
-      qos::TrafficClass::kBackground);
-  rpc_.Serve<cluster::MigratePgRequest>(
-      [this](sim::NodeId src, cluster::MigratePgRequest req) {
-        return HandleMigratePg(src, std::move(req));
-      },
-      qos::TrafficClass::kMaintenance);
-  rpc_.Serve<cluster::TopologyPush>([this](sim::NodeId src, cluster::TopologyPush req) {
-    return HandleTopologyPush(src, std::move(req));
-  });
+  rpc_.Serve<PutAllocRequest>(std::bind_front(&MetaServer::HandlePutAlloc, this),
+                              qos::TrafficClass::kForeground);
+  rpc_.Serve<PutCommitNotify>(std::bind_front(&MetaServer::HandleCommit, this),
+                              qos::TrafficClass::kForeground);
+  rpc_.Serve<GetMetaRequest>(std::bind_front(&MetaServer::HandleGet, this),
+                             qos::TrafficClass::kForeground);
+  rpc_.Serve<DeleteRequest>(std::bind_front(&MetaServer::HandleDelete, this),
+                            qos::TrafficClass::kForeground);
+  rpc_.Serve<ReplicateMetaXRequest>(std::bind_front(&MetaServer::HandleReplicate, this),
+                                    qos::TrafficClass::kReplication);
+  rpc_.Serve<PgPullRequest>(std::bind_front(&MetaServer::HandlePgPull, this),
+                            qos::TrafficClass::kBackground);
+  rpc_.Serve<cluster::MigratePgRequest>(std::bind_front(&MetaServer::HandleMigratePg, this),
+                                        qos::TrafficClass::kMaintenance);
+  rpc_.Serve<cluster::TopologyPush>(std::bind_front(&MetaServer::HandleTopologyPush, this));
   rpc_.machine().actor().Spawn(Init());
 }
 
@@ -450,16 +428,10 @@ sim::Task<Status> MetaServer::PersistAndReplicate(
       rep.puts = std::move(puts);
       rep.deletes = std::move(deletes);
       auto r = co_await self->rpc_.Call(backup, std::move(rep), self->options_.rpc_timeout);
-      co_return r.ok() ? Status::Ok() : r.status();
+      co_return r.status();
     }(this, backup, pg, puts, deletes));
   }
-  auto results = co_await sim::WhenAll(std::move(tasks));
-  for (const Status& s : results) {
-    if (!s.ok()) {
-      co_return s;
-    }
-  }
-  co_return Status::Ok();
+  co_return co_await sim::AllOk(std::move(tasks));
 }
 
 sim::Task<Result<ReplicateMetaXReply>> MetaServer::HandleReplicate(

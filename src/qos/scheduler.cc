@@ -31,7 +31,7 @@ int Scheduler::shed_level() const {
 }
 
 void Scheduler::RejectWith(TrafficClass cls, const char* reason,
-                           Nanos retry_after, const RejectFn& reject) {
+                           Nanos retry_after, RejectFn& reject) {
   const int c = Ord(cls);
   ++sheds_[c];
   shed_ctr_[c]->Add();
@@ -91,11 +91,7 @@ void Scheduler::TryDispatch() {
     dispatched_ctr_[c]->Add();
     ++active_;
     active_gauge_->Set(active_);
-    p.run([this, epoch = epoch_] {
-      if (epoch == epoch_) {
-        OnComplete();
-      }
-    });
+    p.run(Slot(this, epoch_));
   }
 }
 

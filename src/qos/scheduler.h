@@ -9,15 +9,16 @@
 //
 // Determinism: dispatch order is a pure function of arrival order, costs, and
 // the event-loop clock; ties break by sequence number. Reset() (on node
-// detach/crash) bumps an epoch so completion callbacks from killed handlers
-// can't double-free concurrency slots.
+// detach/crash) bumps an epoch so a Slot held by a killed handler can't
+// double-free a concurrency slot.
 #ifndef SRC_QOS_SCHEDULER_H_
 #define SRC_QOS_SCHEDULER_H_
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <utility>
 
+#include "src/common/inline_fn.h"
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
 #include "src/qos/codel.h"
@@ -30,19 +31,40 @@ namespace cheetah::qos {
 
 class Scheduler {
  public:
-  // `run(done)` starts the handler; the handler (or its teardown path) must
-  // invoke `done` exactly once to release the concurrency slot.
-  using RunFn = std::function<void(std::function<void()> done)>;
+  // A dispatched request's claim on one of the `max_concurrency` slots: the
+  // scheduler and the epoch it was issued in. Release() frees the slot and
+  // empties this Slot; an empty Slot, or one issued before a Reset(),
+  // releases nothing. The handler releases its Slot exactly once.
+  class Slot {
+   public:
+    Slot() = default;
+    void Release() {
+      Scheduler* sched = std::exchange(sched_, nullptr);
+      if (sched != nullptr && epoch_ == sched->epoch_) {
+        sched->OnComplete();
+      }
+    }
+
+   private:
+    friend class Scheduler;
+    Slot(Scheduler* sched, uint64_t epoch) : sched_(sched), epoch_(epoch) {}
+    Scheduler* sched_ = nullptr;
+    uint64_t epoch_ = 0;
+  };
+
+  // `run(slot)` starts the handler; the handler must Release() the slot when
+  // it finishes (a killed handler never does; Reset() covers that).
+  using RunFn = InlineFn<void(Slot slot)>;
   // Called instead of `run` on rejection; null means drop silently
   // (fire-and-forget traffic has nobody to tell).
-  using RejectFn = std::function<void(Nanos retry_after)>;
+  using RejectFn = InlineFn<void(Nanos retry_after)>;
 
   Scheduler(sim::EventLoop& loop, uint32_t node, const QosParams& params);
 
   void Submit(TrafficClass cls, size_t bytes, RunFn run, RejectFn reject);
 
   // Drops all queued work and forgets in-flight handlers (they were killed
-  // with the node's actor); stale `done` callbacks become no-ops.
+  // with the node's actor); releasing a stale Slot becomes a no-op.
   void Reset();
 
   const QosParams& params() const { return params_; }
@@ -63,7 +85,7 @@ class Scheduler {
   }
 
   void RejectWith(TrafficClass cls, const char* reason, Nanos retry_after,
-                  const RejectFn& reject);
+                  RejectFn& reject);
   void TryDispatch();
   void OnComplete();
 

@@ -1,6 +1,7 @@
 #include "src/raft/raft.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/common/coding.h"
 #include "src/common/crc32c.h"
@@ -16,12 +17,8 @@ RaftNode::RaftNode(rpc::Node& rpc, sim::Storage& storage, Config config, StateMa
 
 sim::Task<Status> RaftNode::Start() {
   CO_RETURN_IF_ERROR(co_await LoadPersistent());
-  rpc_.Serve<VoteRequest>([this](sim::NodeId src, VoteRequest req) {
-    return HandleVote(src, std::move(req));
-  });
-  rpc_.Serve<AppendRequest>([this](sim::NodeId src, AppendRequest req) {
-    return HandleAppend(src, std::move(req));
-  });
+  rpc_.Serve<VoteRequest>(std::bind_front(&RaftNode::HandleVote, this));
+  rpc_.Serve<AppendRequest>(std::bind_front(&RaftNode::HandleAppend, this));
   last_heartbeat_ = rpc_.machine().loop().Now();
   rpc_.machine().actor().Spawn(Ticker());
   co_return Status::Ok();

@@ -8,29 +8,37 @@
 //     size_t wire_size() const { return 16; }
 //   };
 //
-// Servers register coroutine handlers with Serve<Req>(); clients issue
-// Call<Req>() with a timeout. Crashes surface as timeouts: messages to dead
-// or partitioned nodes are dropped by the network, and a server that dies
-// mid-handler simply never replies.
+// Servers register coroutine handlers with Serve<Req>(fn, cls); a member
+// handler is registered as
+//
+//   rpc_.Serve<PingRequest>(std::bind_front(&Server::HandlePing, this));
+//
+// and clients issue Call<Req>() with a timeout. Crashes surface as timeouts:
+// messages to dead or partitioned nodes are dropped by the network, and a
+// server that dies mid-handler simply never replies.
 //
 // Hot-path layout: every request type gets a process-wide dense id
 // (MsgTypeIdOf<Req>()), so handler dispatch is a flat vector index instead of
-// a type_index hash lookup; envelopes and payloads travel in arena-backed
-// AnyMsg boxes instead of std::any (no malloc per message); duplicate-request
-// bookkeeping — only needed when the chaos network can actually duplicate —
-// is skipped entirely on fault-free runs.
+// a type_index hash lookup. Serve() type-erases the handler exactly once, into
+// a dispatcher that spawns the typed HandleOne coroutine, so an inbound
+// request reaches its handler through one erased call and the handler itself
+// is called directly, by reference, never copied. Envelopes and payloads
+// travel in arena-backed AnyMsg boxes instead of std::any (no malloc per
+// message); duplicate-request bookkeeping — only needed when the chaos
+// network can actually duplicate — is skipped entirely on fault-free runs.
 #ifndef SRC_RPC_NODE_H_
 #define SRC_RPC_NODE_H_
 
 #include <cassert>
-#include <functional>
-#include <memory>
+#include <deque>
 #include <set>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/inline_fn.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/obs/context.h"
@@ -128,20 +136,26 @@ class Node {
   };
   void SetHandlerCosts(HandlerCosts costs) { costs_ = costs; }
 
-  template <RpcRequest Req>
-  void Serve(std::function<sim::Task<Result<typename Req::Response>>(sim::NodeId, Req)> fn,
-             qos::TrafficClass cls = qos::TrafficClass::kControl) {
+  // Registers `fn` — any callable taking (sim::NodeId, Req) and returning
+  // sim::Task<Result<Req::Response>> — for requests of type Req. The callable
+  // lives at a stable address until the node is destroyed: a coroutine-lambda
+  // handler's frame points at its closure, and re-registering a type (a
+  // restarted server's Start()) must not free the closure a still-suspended
+  // handler of the old registration runs in.
+  template <RpcRequest Req, typename Fn>
+    requires std::is_invocable_r_v<sim::Task<Result<typename Req::Response>>, Fn&,
+                                   sim::NodeId, Req>
+  void Serve(Fn fn, qos::TrafficClass cls = qos::TrafficClass::kControl) {
     const uint32_t tid = MsgTypeIdOf<Req>();
     if (handlers_.size() <= tid) {
       handlers_.resize(tid + 1);
     }
-    handlers_[tid] =
-        Handler{true, cls,
-                [this, fn = std::move(fn)](sim::NodeId src, Envelope env, size_t bytes,
-                                           std::function<void()> done) {
-                  machine_.actor().Spawn(
-                      HandleOne<Req>(fn, src, std::move(env), bytes, std::move(done)));
-                }};
+    Dispatcher& dispatch = dispatchers_.emplace_back(
+        [this, fn = std::move(fn)](sim::NodeId src, Envelope&& env, size_t bytes,
+                                   qos::Scheduler::Slot slot) mutable {
+          machine_.actor().Spawn(HandleOne<Req>(fn, src, std::move(env), bytes, slot));
+        });
+    handlers_[tid] = Handler{cls, &dispatch};
   }
 
   // NOTE: Call is deliberately a plain function that moves its argument into
@@ -261,10 +275,11 @@ class Node {
  private:
   static constexpr size_t kHeaderBytes = 64;
 
-  template <RpcRequest Req>
-  sim::Task<> HandleOne(
-      std::function<sim::Task<Result<typename Req::Response>>(sim::NodeId, Req)> fn,
-      sim::NodeId src, Envelope env, size_t req_bytes, std::function<void()> done) {
+  // `slot` is the scheduler's concurrency slot for a queued request (empty on
+  // the direct path); releasing it lets the next queued request dispatch.
+  template <RpcRequest Req, typename Fn>
+  sim::Task<> HandleOne(Fn& fn, sim::NodeId src, Envelope env, size_t req_bytes,
+                        qos::Scheduler::Slot slot) {
     static const std::string kName = obs::ShortTypeName(typeid(Req));
     static obs::Histogram* const handle_lat =
         obs::Registry::Global().histogram("rpc." + kName + ".handle_latency");
@@ -287,15 +302,13 @@ class Node {
     handle_lat->Record(t1 - t0);
     tracer.End(span, t1, result.ok());
     if (fire_and_forget) {
-      if (done) {
-        done();
-      }
+      slot.Release();
       co_return;
     }
     Envelope reply;
     reply.call_id = env.call_id;
     reply.is_reply = true;
-    reply.status = result.ok() ? Status::Ok() : result.status();
+    reply.status = result.status();
     reply.ctx = env.ctx;
     size_t bytes = kHeaderBytes;
     if (result.ok()) {
@@ -306,9 +319,7 @@ class Node {
     co_await machine_.cpu().Use(
         static_cast<Nanos>(static_cast<double>(bytes) * costs_.per_byte_ns));
     net_.Send(id(), src, std::move(reply), bytes);
-    if (done) {
-      done();
-    }
+    slot.Release();
   }
 
   void OnMessage(sim::NodeId src, sim::AnyMsg msg, size_t wire_bytes) {
@@ -341,12 +352,12 @@ class Node {
     } else {
       dedup_skipped_->Add();
     }
-    if (env.type >= handlers_.size() || !handlers_[env.type].registered) {
+    if (env.type >= handlers_.size() || handlers_[env.type].dispatch == nullptr) {
       return;  // no such service here; drop (caller times out)
     }
-    Handler& handler = handlers_[env.type];
+    const Handler& handler = handlers_[env.type];
     if (scheduler_ == nullptr || handler.cls == qos::TrafficClass::kControl) {
-      handler.dispatch(src, std::move(env), wire_bytes, nullptr);
+      (*handler.dispatch)(src, std::move(env), wire_bytes, qos::Scheduler::Slot());
       return;
     }
     // Data-plane request under QoS: queue it (span makes the wait visible in
@@ -358,18 +369,14 @@ class Node {
                                std::string("qos.queue.") + qos::TrafficClassName(handler.cls),
                                id(), machine_.loop().Now(), wire_bytes)
             : 0;
-    const bool fire_and_forget = env.fire_and_forget;
-    const uint64_t call_id = env.call_id;
-    const obs::OpContext ctx = env.ctx;
-    auto env_ptr = std::allocate_shared<Envelope>(PoolAllocator<Envelope>(), std::move(env));
     qos::Scheduler::RejectFn reject;
-    if (fire_and_forget) {
+    if (env.fire_and_forget) {
       // Nobody to tell; the notification just evaporates under overload.
       reject = [this, qspan](Nanos) {
         obs::Tracer::Global().End(qspan, machine_.loop().Now(), /*ok=*/false);
       };
     } else {
-      reject = [this, src, call_id, ctx, qspan](Nanos retry_after) {
+      reject = [this, src, call_id = env.call_id, ctx = env.ctx, qspan](Nanos retry_after) {
         obs::Tracer::Global().End(qspan, machine_.loop().Now(), /*ok=*/false);
         Envelope bounce;
         bounce.call_id = call_id;
@@ -381,9 +388,10 @@ class Node {
     }
     scheduler_->Submit(
         handler.cls, wire_bytes,
-        [this, hp = &handler, src, env_ptr, wire_bytes, qspan](std::function<void()> done) {
+        [this, dispatch = handler.dispatch, src, env = std::move(env), wire_bytes,
+         qspan](qos::Scheduler::Slot slot) mutable {
           obs::Tracer::Global().End(qspan, machine_.loop().Now(), /*ok=*/true);
-          hp->dispatch(src, std::move(*env_ptr), wire_bytes, std::move(done));
+          (*dispatch)(src, std::move(env), wire_bytes, slot);
         },
         std::move(reject));
   }
@@ -408,10 +416,11 @@ class Node {
     std::set<uint64_t> ids;    // recent ids above the floor
   };
 
+  // Spawns the typed handler coroutine for one inbound request.
+  using Dispatcher = InlineFn<void(sim::NodeId, Envelope&&, size_t, qos::Scheduler::Slot)>;
   struct Handler {
-    bool registered = false;
     qos::TrafficClass cls = qos::TrafficClass::kControl;
-    std::function<void(sim::NodeId, Envelope, size_t, std::function<void()>)> dispatch;
+    Dispatcher* dispatch = nullptr;  // null: no handler for this type
   };
 
   sim::Machine& machine_;
@@ -426,6 +435,10 @@ class Node {
   qos::Scheduler* scheduler_ = nullptr;
   HandlerCosts costs_;
   std::vector<Handler> handlers_;  // indexed by MsgTypeIdOf<Req>()
+  // Every dispatcher ever registered, in registration order. A deque grown at
+  // the back never relocates its elements, so handlers_ and in-flight
+  // handler coroutines can point into it.
+  std::deque<Dispatcher> dispatchers_;
   std::unordered_map<sim::NodeId, Seen> seen_requests_;
   std::unordered_map<uint64_t, PendingCall*, XxU64Hash> pending_;
 };

@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <unordered_map>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/inline_fn.h"
 #include "src/common/random.h"
 #include "src/common/units.h"
 #include "src/obs/context.h"
@@ -71,7 +71,7 @@ struct LinkFaults {
 
 class Network {
  public:
-  using Handler = std::function<void(NodeId src, AnyMsg msg, size_t bytes)>;
+  using Handler = InlineFn<void(NodeId src, AnyMsg msg, size_t bytes)>;
 
   Network(EventLoop& loop, NetParams params)
       : loop_(loop),

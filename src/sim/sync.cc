@@ -14,4 +14,14 @@ Task<> WhenAllVoid(std::vector<Task<>> tasks) {
   co_await latch->Wait();
 }
 
+Task<Status> AllOk(std::vector<Task<Status>> tasks) {
+  std::vector<Status> results = co_await WhenAll(std::move(tasks));
+  for (Status& s : results) {
+    if (!s.ok()) {
+      co_return std::move(s);
+    }
+  }
+  co_return Status::Ok();
+}
+
 }  // namespace cheetah::sim

@@ -1,6 +1,6 @@
 // Coroutine synchronization primitives for the simulator: one-shot events
-// (with timed waits), countdown latches, mailboxes, and a parallel-join
-// helper. All are single-threaded and epoch-guarded against actor kills.
+// (with timed waits), countdown latches, mailboxes, and parallel-join
+// helpers. All are single-threaded and epoch-guarded against actor kills.
 #ifndef SRC_SIM_SYNC_H_
 #define SRC_SIM_SYNC_H_
 
@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/sim/actor.h"
 #include "src/sim/task.h"
@@ -211,6 +212,10 @@ Task<std::vector<T>> WhenAll(std::vector<Task<T>> tasks) {
 
 // Void overload.
 Task<> WhenAllVoid(std::vector<Task<>> tasks);
+
+// Runs all tasks concurrently (as WhenAll), waits for every one of them, and
+// returns the first non-OK status in index order, else Ok.
+Task<Status> AllOk(std::vector<Task<Status>> tasks);
 
 }  // namespace cheetah::sim
 

@@ -149,7 +149,7 @@ sim::Task<> TierEngine::DemoteObject(cluster::PgId pg, std::string name,
         [](TierEngine* self, sim::NodeId node,
            core::RepairWriteRequest write) -> sim::Task<Status> {
           auto w = co_await self->rpc_.Call(node, std::move(write), self->options_.rpc_timeout);
-          co_return w.ok() ? Status::Ok() : w.status();
+          co_return w.status();
         }(this, (*stripe)[j].node,
           stripe->Write<core::RepairWriteRequest>((*stripe)[j], std::move(chunks[j]), crcs[j])));
   }

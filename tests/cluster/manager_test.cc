@@ -88,14 +88,11 @@ TEST(ManagerTest, DuplicateMetaServerRejected) {
   ASSERT_GE(leader, 0);
   // Issue the duplicate add directly on the leader.
   auto& mgr = bed.manager(leader);
-  bool done = false;
-  bed.loop().ScheduleAfter(0, [&] {});
   bed.RunOnProxy(0, [&mgr, existing, result](core::ClientProxy&) -> sim::Task<> {
     // Hop onto the proxy actor just to have a coroutine context; the manager
     // method itself checks leadership internally.
     *result = co_await mgr.AddMetaServer(existing);
   });
-  (void)done;
   EXPECT_EQ(result->code(), ErrorCode::kAlreadyExists);
 }
 

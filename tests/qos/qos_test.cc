@@ -234,13 +234,13 @@ TEST(AimdTest, AcquireBlocksUntilASlotFrees) {
 
 struct DispatchLog {
   std::vector<std::string> order;
-  std::vector<std::function<void()>> dones;  // held => slot stays busy
+  std::vector<Scheduler::Slot> slots;  // held => slot stays busy
 };
 
 Scheduler::RunFn Held(DispatchLog* log, const std::string& label) {
-  return [log, label](std::function<void()> done) {
+  return [log, label](Scheduler::Slot slot) {
     log->order.push_back(label);
-    log->dones.push_back(std::move(done));
+    log->slots.push_back(slot);
   };
 }
 
@@ -260,8 +260,8 @@ TEST(SchedulerTest, FairOrderUnderContentionIsDeterministic) {
     }
     // Release slots one at a time; each completion dispatches the next item
     // in weighted-fair order.
-    for (size_t i = 0; i < 7 && i < log.dones.size(); ++i) {
-      log.dones[i]();
+    for (size_t i = 0; i < 7 && i < log.slots.size(); ++i) {
+      log.slots[i].Release();
     }
     return log.order;
   };
@@ -334,11 +334,11 @@ TEST(SchedulerTest, CodelShedsLowClassesFirstAndRecoversWhenIdle) {
   sched.Submit(TrafficClass::kForeground, 0, Held(&log, "fg2"), nullptr);
 
   loop.RunFor(Millis(5));
-  log.dones[0]();  // fg1 dispatched with 5ms sojourn: above target, not tripped
+  log.slots[0].Release();  // fg1 dispatched with 5ms sojourn: above target, not tripped
   EXPECT_EQ(sched.shed_level(), 0);
 
   loop.RunFor(Millis(15));
-  log.dones[1]();  // fg2 at 20ms sojourn, above target for 15ms >= interval
+  log.slots[1].Release();  // fg2 at 20ms sojourn, above target for 15ms >= interval
   EXPECT_EQ(sched.shed_level(), 1);
 
   // Level 1 sheds maintenance only; background and foreground still admit.
@@ -362,8 +362,8 @@ TEST(SchedulerTest, CodelShedsLowClassesFirstAndRecoversWhenIdle) {
   EXPECT_EQ(sched.shed_level(), sched.params().max_shed_level);  // clamped
 
   // Drain everything: the idle reset clears the verdict.
-  for (size_t i = 2; i < log.dones.size(); ++i) {
-    log.dones[i]();
+  for (size_t i = 2; i < log.slots.size(); ++i) {
+    log.slots[i].Release();
   }
   EXPECT_EQ(sched.active(), 0);
   EXPECT_EQ(sched.shed_level(), 0);
@@ -381,7 +381,7 @@ TEST(SchedulerTest, ResetMakesStaleCompletionsHarmless) {
   sched.Submit(TrafficClass::kForeground, 0, Held(&log, "queued"), nullptr);
   sched.Reset();  // node crashed: queued work dropped, handler killed
   EXPECT_EQ(sched.active(), 0);
-  log.dones[0]();  // the killed handler's done fires late: must be a no-op
+  log.slots[0].Release();  // the killed handler's slot is released late: must be a no-op
   EXPECT_EQ(sched.active(), 0);
   EXPECT_EQ(sched.dispatched(TrafficClass::kForeground), 1u);  // "queued" gone
   sched.Submit(TrafficClass::kForeground, 0, Held(&log, "fresh"), nullptr);

@@ -2,9 +2,12 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
+#include "src/qos/qos.h"
+#include "src/qos/scheduler.h"
 #include "src/rpc/node.h"
 
 namespace cheetah::rpc {
@@ -57,6 +60,13 @@ struct NoteRequest {
   size_t wire_size() const { return 16; }
 };
 
+// Registered by one test only, so its first Serve<> grows the handler table.
+struct LateRequest {
+  using Response = NoteReply;
+  LateRequest() = default;
+  size_t wire_size() const { return 8; }
+};
+
 class RpcTest : public ::testing::Test {
  protected:
   RpcTest()
@@ -69,10 +79,21 @@ class RpcTest : public ::testing::Test {
     client_.Attach();
   }
 
+  // Puts a QoS scheduler on the server that runs one handler at a time and
+  // queues at most one request per class.
+  void InstallTightScheduler() {
+    qos::QosParams params;
+    params.max_concurrency = 1;
+    params.queue_limit.fill(1);
+    sched_ = std::make_unique<qos::Scheduler>(loop_, 1, params);
+    server_.SetScheduler(sched_.get());
+  }
+
   EventLoop loop_;
   Network net_;
   Machine server_machine_;
   Machine client_machine_;
+  std::unique_ptr<qos::Scheduler> sched_;  // outlives server_, whose ~Node resets it
   Node server_;
   Node client_;
 };
@@ -224,6 +245,86 @@ TEST_F(RpcTest, RestartedServerServesAgain) {
   }(&client_, &got));
   loop_.Run();
   EXPECT_EQ(got, "v2:x");
+}
+
+TEST_F(RpcTest, QosQueueOverflowBouncesCallWithRetryAfter) {
+  InstallTightScheduler();
+  server_.Serve<SlowRequest>(
+      [](NodeId, SlowRequest req) -> Task<Result<SlowReply>> {
+        co_await sim::SleepFor(req.delay);
+        co_return SlowReply{};
+      },
+      qos::TrafficClass::kForeground);
+  // The first call runs, the second waits in the one-deep queue, the third
+  // overflows it.
+  std::vector<Status> got(3, Status::Internal("unresolved"));
+  for (Status& result : got) {
+    client_machine_.actor().Spawn([](Node* c, Status* out) -> Task<> {
+      auto r = co_await c->Call(1, SlowRequest(Millis(10)), Millis(100));
+      *out = r.status();
+    }(&client_, &result));
+  }
+  loop_.Run();
+  EXPECT_TRUE(got[0].ok());
+  EXPECT_TRUE(got[1].ok());
+  ASSERT_TRUE(got[2].IsOverloaded()) << got[2].ToString();
+  EXPECT_EQ(qos::RetryAfterOf(got[2], /*fallback=*/-1), sched_->params().codel_interval);
+  EXPECT_EQ(sched_->sheds(qos::TrafficClass::kForeground), 1u);
+}
+
+TEST_F(RpcTest, QosRejectedNotifyVanishesWithoutReply) {
+  InstallTightScheduler();
+  int received = 0;
+  server_.Serve<NoteRequest>(
+      [&received](NodeId, NoteRequest req) -> Task<Result<NoteReply>> {
+        co_await sim::SleepFor(Millis(10));
+        received += req.value;
+        co_return NoteReply{};
+      },
+      qos::TrafficClass::kForeground);
+  obs::Counter* late = obs::Registry::Global().counter("rpc.late_replies_dropped");
+  const uint64_t late_before = late->value();
+  const uint64_t sent_before = net_.messages_sent();
+  client_.Notify(1, NoteRequest(1));
+  client_.Notify(1, NoteRequest(2));
+  client_.Notify(1, NoteRequest(4));  // overflows the queue: shed silently
+  loop_.Run();
+  EXPECT_EQ(received, 1 + 2);
+  EXPECT_EQ(sched_->sheds(qos::TrafficClass::kForeground), 1u);
+  EXPECT_EQ(net_.messages_sent() - sent_before, 3u);  // no reply, no bounce
+  EXPECT_EQ(late->value(), late_before);
+}
+
+TEST_F(RpcTest, SuspendedLambdaHandlerSurvivesLaterServe) {
+  // The handler's frame points at its closure; registering new request types
+  // while it is suspended must not move or free that closure.
+  std::string seen;
+  server_.Serve<SlowRequest>(
+      [tag = std::string("closure state read after the handler resumes"),
+       &seen](NodeId, SlowRequest req) -> Task<Result<SlowReply>> {
+        co_await sim::SleepFor(req.delay);
+        seen = tag;
+        co_return SlowReply{};
+      });
+  Status got = Status::Internal("unresolved");
+  client_machine_.actor().Spawn([](Node* c, Status* out) -> Task<> {
+    auto r = co_await c->Call(1, SlowRequest(Millis(30)), Millis(100));
+    *out = r.status();
+  }(&client_, &got));
+  loop_.RunUntil(Millis(10));  // handler is mid-sleep
+  ASSERT_TRUE(seen.empty());
+  server_.Serve<EchoRequest>([](NodeId, EchoRequest req) -> Task<Result<EchoReply>> {
+    co_return EchoReply(req.text);
+  });
+  server_.Serve<NoteRequest>([](NodeId, NoteRequest) -> Task<Result<NoteReply>> {
+    co_return NoteReply{};
+  });
+  server_.Serve<LateRequest>([](NodeId, LateRequest) -> Task<Result<NoteReply>> {
+    co_return NoteReply{};
+  });
+  loop_.Run();
+  EXPECT_TRUE(got.ok()) << got.ToString();
+  EXPECT_EQ(seen, "closure state read after the handler resumes");
 }
 
 }  // namespace
